@@ -56,6 +56,7 @@ util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
                                        options.partition));
   index->grid_ = std::make_unique<GraphGrid>(std::move(grid));
   index->lists_.resize(index->grid_->num_cells());
+  index->cell_object_counts_.assign(index->grid_->num_cells(), 0);
 
   // The paper keeps an identical copy of the graph grid in GPU memory
   // (§III-A); with several devices, every device holds its own replica so
@@ -98,7 +99,8 @@ util::Result<std::unique_ptr<GGridIndex>> GGridIndex::Build(
   index->engine_ = std::make_unique<KnnEngine>(
       devices->device_ptr(0), index->grid_.get(), index->cleaner_.get(),
       &index->arena_, &index->lists_, &index->object_table_,
-      &index->objects_on_edge_, &index->options_);
+      &index->cell_object_counts_, &index->objects_on_edge_,
+      &index->options_);
   index->engine_->SetTracer(&index->tracer_);
   index->engine_->set_scheduler(index->scheduler_.get());
   return index;
@@ -160,6 +162,11 @@ util::Status GGridIndex::Ingest(ObjectId object, EdgePoint position,
     objects_on_edge_[position.edge].push_back(object);
   }
 
+  if (!has_previous || previous.cell != cell) {
+    if (has_previous) --cell_object_counts_[previous.cell];
+    ++cell_object_counts_[cell];
+  }
+
   // Algorithm 1 line 6: setOT(m.o, <c, m.e, m.d>).
   object_table_.Set(object, ObjectTable::Entry{cell, position.edge,
                                                position.offset, time, m.seq});
@@ -199,6 +206,7 @@ util::Status GGridIndex::Remove(ObjectId object, double time) {
     if (vec.empty()) objects_on_edge_.erase(it);
   }
   const CellId cell = entry->cell;
+  --cell_object_counts_[cell];
   object_table_.Erase(object);
   if (options_.eager_updates) {
     const CellId touched[] = {cell};
@@ -493,7 +501,8 @@ GGridIndex::MemoryBreakdown GGridIndex::Memory() const {
     (void)edge;
     registry += objects.capacity() * sizeof(ObjectId);
   }
-  mem.support = registry;
+  mem.support =
+      registry + cell_object_counts_.capacity() * sizeof(uint32_t);
   mem.grid_gpu = 0;
   for (const auto& copy : grid_gpu_copies_) mem.grid_gpu += copy.size_bytes();
   return mem;

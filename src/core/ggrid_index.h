@@ -51,7 +51,7 @@ class GGridIndex {
     uint64_t grid_cpu = 0;       // graph grid arrays (host copy)
     uint64_t object_table = 0;   // hash table of latest locations
     uint64_t message_lists = 0;  // bucket arena + list headers
-    uint64_t support = 0;        // eager edge->objects registry
+    uint64_t support = 0;        // eager edge->objects + cell counts
     uint64_t grid_gpu = 0;       // device-resident copy of the grid
     uint64_t cpu_total() const {
       return grid_cpu + object_table + message_lists + support;
@@ -157,6 +157,10 @@ class GGridIndex {
   const EngineCounters& engine_counters() const { return engine_->counters(); }
   const GraphGrid& grid() const { return *grid_; }
   const ObjectTable& object_table() const { return object_table_; }
+  /// Live objects per cell by the object table, indexed by cell id.
+  const std::vector<uint32_t>& cell_object_counts() const {
+    return cell_object_counts_;
+  }
   const GGridOptions& options() const { return options_; }
   /// Device 0 of the set (the only device in single-device builds).
   gpusim::Device& device() { return devices_->device(0); }
@@ -210,6 +214,10 @@ class GGridIndex {
   BucketArena arena_;
   std::vector<MessageList> lists_;
   ObjectTable object_table_;
+  /// Eager per-cell tally of object_table_ (objects whose latest position
+  /// lies in the cell), kept by Ingest/Remove. The kNN engine sizes its
+  /// candidate rings from it before cleaning them.
+  std::vector<uint32_t> cell_object_counts_;
   EdgeObjectMap objects_on_edge_;
   std::unique_ptr<MessageCleaner> cleaner_;
   std::unique_ptr<KnnEngine> engine_;

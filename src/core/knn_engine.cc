@@ -88,6 +88,7 @@ KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
                      MessageCleaner* cleaner, BucketArena* arena,
                      std::vector<MessageList>* lists,
                      const ObjectTable* object_table,
+                     const std::vector<uint32_t>* cell_object_counts,
                      const EdgeObjectMap* objects_on_edge,
                      const GGridOptions* options)
     : device_(device),
@@ -96,6 +97,7 @@ KnnEngine::KnnEngine(gpusim::Device* device, const GraphGrid* grid,
       arena_(arena),
       lists_(lists),
       object_table_(object_table),
+      cell_object_counts_(cell_object_counts),
       objects_on_edge_(objects_on_edge),
       options_(options) {
   // One workspace up front: the common single-threaded case then never
@@ -262,14 +264,42 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
   expand_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "expand"));
 
+  // Rings are sized on the host from the index's eager per-cell object
+  // counts: grow until the counted objects reach rho*k, then clean every
+  // new cell in one batch. Under the sender contract (one report per
+  // t_Delta) the counts equal what cleaning returns, so one batch finds
+  // exactly the cells ring-by-ring cleaning would stop at. A batch that
+  // comes back short — objects that stopped reporting expired out of
+  // their lists — continues from what it found: further rings, sized the
+  // same way, cleaned in a further batch.
+  const std::vector<uint32_t>& counts = *cell_object_counts_;
   std::vector<Message> candidates;
   size_t clean_from = 0;     // cells in l_cells[clean_from..) not yet cleaned
-  size_t frontier_from = 0;  // cells added in the previous ring
+  size_t frontier_from = 0;  // first cell of the outermost ring
+  double counted = 0;        // objects expected in l_cells
+  for (CellId c : l_cells) counted += counts[c];
   const double rho_k = RhoK(*options_, k, control);
   for (;;) {
+    obs::Span ring_span = PhaseSpan(trace, obs::Phase::kExpand);
+    while (counted < rho_k) {
+      // Expand one ring: neighbors(L) \ L. Only the outermost ring can
+      // contribute new neighbors, so every cell is visited at most once.
+      GKNN_RETURN_NOT_OK(CheckBudget(control, "expand"));
+      const size_t before = l_cells.size();
+      for (size_t i = frontier_from; i < before; ++i) {
+        for (CellId nb : grid_->NeighborCells(l_cells[i])) add_cell(nb);
+      }
+      if (l_cells.size() == before) break;  // the whole grid is covered
+      frontier_from = before;
+      for (size_t i = before; i < l_cells.size(); ++i) {
+        counted += counts[l_cells[i]];
+      }
+      ++st.expansion_rounds;
+    }
+    ring_span.Stop();
+    if (clean_from == l_cells.size()) break;  // nothing left to clean
     const std::span<const CellId> to_clean(l_cells.data() + clean_from,
                                            l_cells.size() - clean_from);
-    frontier_from = clean_from;
     clean_from = l_cells.size();
     obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
     GKNN_ASSIGN_OR_RETURN(
@@ -288,20 +318,9 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
     st.clean_pipeline_seconds += outcome.pipeline_seconds;
     candidates.insert(candidates.end(), outcome.latest.begin(),
                       outcome.latest.end());
-    // Per-iteration checkpoint: the clean/expand loop is the unbounded
-    // part of the pipeline (it can grow to the whole grid), so the budget
-    // is enforced every ring.
     GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
     if (static_cast<double>(candidates.size()) >= rho_k) break;
-    // Expand one ring: neighbors(L) \ L. Only the previous ring can
-    // contribute new neighbors.
-    obs::Span ring_span = PhaseSpan(trace, obs::Phase::kExpand);
-    const size_t before = l_cells.size();
-    for (size_t i = frontier_from; i < before; ++i) {
-      for (CellId nb : grid_->NeighborCells(l_cells[i])) add_cell(nb);
-    }
-    if (l_cells.size() == before) break;  // the whole grid is covered
-    ++st.expansion_rounds;
+    counted = static_cast<double>(candidates.size());
   }
   st.cells_examined = static_cast<uint32_t>(l_cells.size());
   st.candidate_objects = static_cast<uint32_t>(candidates.size());
@@ -464,12 +483,15 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
 
   // ---- Step 2c: GPU_Unresolved — boundary vertices with D[v] < l ---------
   // Stream compaction on the device: flag kernel -> exclusive scan ->
-  // scatter kernel, then one copy of the compacted set to the host.
+  // scatter kernel, then one copy to the host of the compacted set with
+  // its count in front (entry 0), so the host learns how many vertices
+  // are unresolved from the same readback — one copy even when none are.
   obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
   using UnresolvedEntry = std::pair<VertexId, Distance>;
   std::vector<UnresolvedEntry> unresolved;
   {
     const uint32_t n = static_cast<uint32_t>(region_vertices.size());
+    GKNN_DCHECK(n > 0);  // the query edge's target cell is in the region
     auto is_unresolved = [this, &device_dist, l, &graph, &region_vertices,
                           &in_l](ThreadCtx& ctx, uint32_t i) {
       if (device_dist.Load(ctx, i) >= l) return false;
@@ -494,29 +516,42 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
                            1 + graph.OutDegree(region_vertices[ctx.thread_id]));
                      })
             .status());
+    // The scan total stays on the device: the host allocates the
+    // compacted buffer for the worst case (every vertex unresolved) plus
+    // the count entry, and the readback carries count + entries.
     GKNN_ASSIGN_OR_RETURN(const uint32_t total,
                           gpusim::ExclusiveScan(device, flag_span));
-    if (total > 0) {
-      GKNN_ASSIGN_OR_RETURN(auto compacted,
-                            DeviceBuffer<UnresolvedEntry>::Allocate(
-                                device, total, "unresolved"));
-      GKNN_RETURN_NOT_OK(
-          device
-              ->Launch("GPU_Unresolved/scatter", n,
-                       [&is_unresolved, &compacted, &flags, &region_vertices,
-                        &device_dist](ThreadCtx& ctx) {
-                         ctx.CountOps(1);
-                         if (is_unresolved(ctx, ctx.thread_id)) {
-                           compacted.Store(
-                               ctx, flags.Load(ctx, ctx.thread_id),
-                               UnresolvedEntry{
-                                   region_vertices[ctx.thread_id],
-                                   device_dist.Load(ctx, ctx.thread_id)});
-                         }
-                       })
-              .status());
-      GKNN_ASSIGN_OR_RETURN(unresolved, compacted.Download());
-    }
+    GKNN_ASSIGN_OR_RETURN(auto compacted,
+                          DeviceBuffer<UnresolvedEntry>::Allocate(
+                              device, size_t{n} + 1, "unresolved"));
+    GKNN_RETURN_NOT_OK(
+        device
+            ->Launch("GPU_Unresolved/scatter", n,
+                     [&is_unresolved, &compacted, &flags, &region_vertices,
+                      &device_dist, n](ThreadCtx& ctx) {
+                       ctx.CountOps(1);
+                       const bool flagged = is_unresolved(ctx, ctx.thread_id);
+                       const uint32_t slot = flags.Load(ctx, ctx.thread_id);
+                       if (flagged) {
+                         compacted.Store(
+                             ctx, 1 + slot,
+                             UnresolvedEntry{
+                                 region_vertices[ctx.thread_id],
+                                 device_dist.Load(ctx, ctx.thread_id)});
+                       }
+                       if (ctx.thread_id == n - 1) {
+                         // Last exclusive-scan slot + own flag = the count.
+                         compacted.Store(
+                             ctx, 0,
+                             UnresolvedEntry{slot + (flagged ? 1 : 0), 0});
+                       }
+                     })
+            .status());
+    std::vector<UnresolvedEntry> readback(size_t{total} + 1);
+    GKNN_RETURN_NOT_OK(
+        compacted.Download(readback.data(), readback.size()).status());
+    GKNN_DCHECK(readback[0].first == total);
+    unresolved.assign(readback.begin() + 1, readback.end());
   }
   st.unresolved_vertices = static_cast<uint32_t>(unresolved.size());
   // Mark the seeds so the refinement prune below can recognize them.

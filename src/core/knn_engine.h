@@ -97,12 +97,13 @@ struct EngineCounters {
 };
 
 /// The CPU-GPU collaborative kNN processor (paper §V, Algorithm 4):
-/// candidate cells are grown around the query until they hold rho*k
-/// objects, their message lists are GPU-cleaned, GPU_SDist computes
-/// subgraph shortest-path distances, GPU_First_k extracts candidates,
-/// GPU_Unresolved finds boundary vertices whose unresolved range could
-/// hide closer objects, and Refine_kNN settles those ranges with a bounded
-/// multi-source Dijkstra on the host (Algorithm 6).
+/// candidate cells are grown around the query until the per-cell object
+/// counts say they hold rho*k objects, their message lists are GPU-cleaned
+/// in one batch, GPU_SDist computes subgraph shortest-path distances,
+/// GPU_First_k extracts candidates, GPU_Unresolved finds boundary vertices
+/// whose unresolved range could hide closer objects, and Refine_kNN
+/// settles those ranges with a bounded multi-source Dijkstra on the host
+/// (Algorithm 6).
 ///
 /// Thread-safety (docs/CONCURRENCY.md): Query and QueryRange may be called
 /// from any number of threads concurrently, provided no thread mutates the
@@ -117,6 +118,7 @@ class KnnEngine {
   KnnEngine(gpusim::Device* device, const GraphGrid* grid,
             MessageCleaner* cleaner, BucketArena* arena,
             std::vector<MessageList>* lists, const ObjectTable* object_table,
+            const std::vector<uint32_t>* cell_object_counts,
             const EdgeObjectMap* objects_on_edge, const GGridOptions* options);
 
   /// Answers one snapshot kNN query at time `t_now`. Returns up to k
@@ -241,6 +243,9 @@ class KnnEngine {
   BucketArena* arena_;
   std::vector<MessageList>* lists_;
   const ObjectTable* object_table_;
+  /// Live objects per cell (the index's eager tally of object_table_):
+  /// sizes the candidate rings before any of them is cleaned.
+  const std::vector<uint32_t>* cell_object_counts_;
   const EdgeObjectMap* objects_on_edge_;
   const GGridOptions* options_;
 

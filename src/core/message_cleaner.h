@@ -216,8 +216,12 @@ class MessageCleaner {
   /// Striped per-cell clean locks: stripe = cell % kCleanStripes. Held
   /// from Preprocess through Commit/Rollback so a cell is cleaned exactly
   /// once per dirty epoch even under racing readers. Stripe i carries
-  /// lockdep instance key i (nestable cleaner.stripe class).
-  static constexpr size_t kCleanStripes = 64;
+  /// lockdep instance key i (nestable cleaner.stripe class). A query's
+  /// single batch can cover every stripe while its thread also holds the
+  /// server and device locks; ThreadSanitizer's deadlock detector tracks
+  /// at most 64 locks held at once by one thread, so the stripe count
+  /// stays well below that.
+  static constexpr size_t kCleanStripes = 32;
   mutable util::lockdep::StripedMutexes<kCleanStripes> clean_stripes_{
       util::lockdep::kCleanerStripeClass};
 

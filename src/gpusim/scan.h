@@ -11,7 +11,10 @@ namespace gknn::gpusim {
 
 /// Exclusive prefix sum over a device-side array, in place. Returns the
 /// total (sum of all inputs), or the injected error when the fault
-/// schedule fails the scan kernel (the array is left unmodified).
+/// schedule fails the scan kernel (the array is left unmodified). The
+/// total lives on the device: no readback is charged here, so a caller
+/// whose host code acts on it must bring it back in a charged copy (the
+/// kNN engine's GPU_Unresolved returns it with the compacted list).
 ///
 /// Modeled as the work-efficient Blelloch scan: 2·log2(n) sweep phases,
 /// each a device-wide pass with a barrier — the standard building block

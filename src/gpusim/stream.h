@@ -38,10 +38,18 @@ class Stream {
     return util::Status::OK();
   }
 
-  /// Enqueues a device-to-host copy of `bytes` on the copy engine.
+  /// Enqueues a device-to-host copy of `bytes` on the copy engine. A
+  /// readback copies what the kernels enqueued before it produced, so it
+  /// starts only once they have finished (and after earlier copies).
   util::Status EnqueueD2H(uint64_t bytes) {
     GKNN_RETURN_NOT_OK(device_->CheckTransferFault("stream D2H"));
-    AddCopy(device_->ledger().RecordD2H(bytes, device_->config()));
+    const double seconds =
+        device_->ledger().RecordD2H(bytes, device_->config());
+    if (pipelined_) {
+      copy_done_ = std::max(copy_done_, compute_done_) + seconds;
+    } else {
+      Serialize(seconds);
+    }
     return util::Status::OK();
   }
 

@@ -119,9 +119,11 @@ util::Result<std::vector<T>> TopKSmallest(Device* device,
     live = pairs + (live % 2);
   }
 
-  // The k smallest come back to the host.
+  // The k smallest come back to the host: a synchronous readback, charged
+  // to the ledger and the device clock like DeviceBuffer::Download.
   GKNN_RETURN_NOT_OK(device->CheckTransferFault("GPU_First_k/result"));
-  device->ledger().RecordD2H(k * sizeof(T), device->config());
+  device->AdvanceClock(
+      device->ledger().RecordD2H(k * sizeof(T), device->config()));
   std::vector<T> result(blocks[0].begin(), blocks[0].begin() + k);
   // Drop padding if fewer than k real values existed (k was clamped to n,
   // but sentinels can still surface when the caller's sentinel compares

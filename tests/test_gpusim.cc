@@ -217,6 +217,24 @@ TEST(StreamTest, PipelineOverlapsCopyAndCompute) {
   EXPECT_NEAR(total, 3e-3, 1e-9);
 }
 
+TEST(StreamTest, ReadbackWaitsForTheKernelThatProducesIt) {
+  DeviceConfig config;
+  config.kernel_launch_seconds = 0;
+  config.transfer_latency_seconds = 0;
+  config.h2d_bytes_per_second = 1e9;
+  config.d2h_bytes_per_second = 1e9;
+  Device device(config);
+
+  // H2D (1 ms) -> kernel (2 ms) -> D2H of its result (0.5 ms): the
+  // readback cannot overlap the kernel that writes what it copies, so the
+  // three serialize even on a pipelined stream.
+  Stream stream(&device);
+  ASSERT_TRUE(stream.EnqueueH2D(1'000'000).ok());
+  stream.EnqueueKernelSeconds(2e-3);
+  ASSERT_TRUE(stream.EnqueueD2H(500'000).ok());
+  EXPECT_NEAR(stream.Synchronize(), 1e-3 + 2e-3 + 0.5e-3, 1e-9);
+}
+
 TEST(StreamTest, SynchronizeChargesDeviceClockOnce) {
   Device device;
   Stream stream(&device);

@@ -150,5 +150,38 @@ TEST(TopKTest, ChargesResultTransfer) {
             2 * sizeof(uint64_t));
 }
 
+TEST(TopKTest, ClockChargesEveryLaunchAndTheResultReadback) {
+  // Every modeled second of a TopKSmallest call reaches the device clock:
+  // its kernel launches plus the readback of the k winners.
+  Device device;
+  util::Rng rng(11);
+  std::vector<uint64_t> values(700);
+  for (auto& v : values) v = rng.Next();
+  auto buf = DeviceBuffer<uint64_t>::Allocate(&device, values.size());
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(buf->Upload(values).ok());
+
+  auto kernel_seconds = [&device] {
+    double total = 0;
+    for (const auto& [label, totals] : device.kernel_totals()) {
+      total += totals.modeled_seconds;
+    }
+    return total;
+  };
+  const double clock_before = device.ClockSeconds();
+  const double kernels_before = kernel_seconds();
+  const double ledger_before = device.ledger().totals().total_seconds();
+  ASSERT_TRUE(TopKSmallest<uint64_t>(&device, buf->device_span(), 16,
+                                     std::numeric_limits<uint64_t>::max())
+                  .ok());
+  const double kernels = kernel_seconds() - kernels_before;
+  const double transfers =
+      device.ledger().totals().total_seconds() - ledger_before;
+  EXPECT_GT(kernels, 0);
+  EXPECT_GT(transfers, 0);
+  EXPECT_NEAR(device.ClockSeconds() - clock_before, kernels + transfers,
+              1e-12);
+}
+
 }  // namespace
 }  // namespace gknn::gpusim
