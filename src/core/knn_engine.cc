@@ -9,7 +9,6 @@
 #include "gpusim/fault_injector.h"
 #include "gpusim/scan.h"
 #include "gpusim/topk.h"
-#include "util/min_heap.h"
 #include "util/timer.h"
 
 namespace gknn::core {
@@ -32,7 +31,10 @@ namespace {
 /// counting one object twice would tighten the bound incorrectly.
 class KthBound {
  public:
-  explicit KthBound(uint32_t k) : k_(k) {}
+  /// Starts at `radius`: without k known objects the kth distance is
+  /// bounded only by the query's radius.
+  KthBound(uint32_t k, roadnet::Distance radius)
+      : k_(k), threshold_(std::min(radius, roadnet::kInfiniteDistance - 1)) {}
 
   void Offer(ObjectId object, roadnet::Distance d) {
     auto [it, inserted] = best_.emplace(object, d);
@@ -55,7 +57,7 @@ class KthBound {
   uint32_t k_;
   std::unordered_map<ObjectId, roadnet::Distance> best_;
   std::multiset<roadnet::Distance> values_;
-  roadnet::Distance threshold_ = roadnet::kInfiniteDistance - 1;
+  roadnet::Distance threshold_;
 };
 
 /// Cooperative cancellation checkpoint (docs/ROBUSTNESS.md "Overload
@@ -80,6 +82,20 @@ double RhoK(const GGridOptions& options, uint32_t k,
   if (scale <= 0.0) scale = 1.0;
   const double rho = std::max(1.0, options.rho * scale);
   return rho * static_cast<double>(k);
+}
+
+/// The answer: `best` by ascending (distance, object), cut to the first k.
+std::vector<KnnResultEntry> SortedAnswer(
+    const std::unordered_map<ObjectId, Distance>& best, uint32_t k) {
+  std::vector<KnnResultEntry> answer;
+  answer.reserve(best.size());
+  for (const auto& [object, distance] : best) {
+    answer.push_back(KnnResultEntry{object, distance});
+  }
+  const size_t keep = std::min<size_t>(k, answer.size());
+  std::partial_sort(answer.begin(), answer.begin() + keep, answer.end());
+  answer.resize(keep);
+  return answer;
 }
 
 }  // namespace
@@ -137,7 +153,21 @@ util::Status KnnEngine::ValidateLocation(EdgePoint location) const {
 util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
     EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
     ExecMode mode, const QueryControl* control) {
-  if (k == 0) return util::Status::InvalidArgument("k must be positive");
+  return Run(location, Bound{k, kInfiniteDistance}, t_now, stats, mode,
+             control);
+}
+
+util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRange(
+    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
+    ExecMode mode, const QueryControl* control) {
+  return Run(location, Bound{Bound::kNoCountLimit, radius}, t_now, stats,
+             mode, control);
+}
+
+util::Result<std::vector<KnnResultEntry>> KnnEngine::Run(
+    EdgePoint location, Bound bound, double t_now, KnnStats* stats,
+    ExecMode mode, const QueryControl* control) {
+  if (bound.k == 0) return util::Status::InvalidArgument("k must be positive");
   GKNN_RETURN_NOT_OK(ValidateLocation(location));
   GKNN_RETURN_NOT_OK(CheckBudget(control, "admission"));
 
@@ -152,7 +182,8 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
   if (trace != nullptr) {
     record.query_id = tracer_->NextQueryId();
     record.t_query = t_now;
-    record.k = k;
+    record.k = bound.counted() ? bound.k : 0;
+    record.range = !bound.counted();
     record.exec_mode = static_cast<uint8_t>(mode);
     total = tracer_->StartTotal(trace);
   }
@@ -172,7 +203,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
 
   if (mode == ExecMode::kCpuOnly) {
     ++counters_.cpu_queries;
-    return finish(QueryCpu(location, k, t_now, st, trace, ws, control));
+    return finish(QueryCpu(location, bound, t_now, st, trace, ws, control));
   }
   // One GPU attempt: lease a device from the scheduler (or pin to the
   // construction-time device without one), run the pipeline there, and
@@ -183,15 +214,16 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
       [&](bool avoid_last) -> util::Result<std::vector<KnnResultEntry>> {
     if (scheduler_ == nullptr) {
       last_device = 0;
-      return QueryGpu(device_, 0, location, k, t_now, st, trace, ws, control);
+      return QueryGpu(device_, 0, location, bound, t_now, st, trace, ws,
+                      control);
     }
     gpusim::Scheduler::Lease sched_lease =
         avoid_last ? scheduler_->AcquireAvoiding(last_device)
                    : scheduler_->Acquire();
     last_device = sched_lease.device_index();
     util::Result<std::vector<KnnResultEntry>> r =
-        QueryGpu(sched_lease.device(), sched_lease.device_index(), location, k,
-                 t_now, st, trace, ws, control);
+        QueryGpu(sched_lease.device(), sched_lease.device_index(), location,
+                 bound, t_now, st, trace, ws, control);
     scheduler_->ReportResult(sched_lease.device_index(),
                              !r.ok() && gpusim::IsDeviceError(r.status()));
     return r;
@@ -223,7 +255,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
       // The re-run traces as one kFallback phase; its inner phases get a
       // null record so the fallback span alone accounts for the time.
       obs::Span fallback = PhaseSpan(trace, obs::Phase::kFallback);
-      result = QueryCpu(location, k, t_now, st, nullptr, ws, control);
+      result = QueryCpu(location, bound, t_now, st, nullptr, ws, control);
       fallback.Stop();
     }
   }
@@ -232,7 +264,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::Query(
 
 util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
     gpusim::Device* device, uint32_t device_index, EdgePoint location,
-    uint32_t k, double t_now, KnnStats* stats, obs::QueryTraceRecord* trace,
+    Bound bound, double t_now, KnnStats* stats, obs::QueryTraceRecord* trace,
     QueryWorkspace& ws, const QueryControl* control) {
   const roadnet::Graph& graph = grid_->graph();
   const Edge& query_edge = graph.edge(location.edge);
@@ -271,14 +303,17 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
   // exactly the cells ring-by-ring cleaning would stop at. A batch that
   // comes back short — objects that stopped reporting expired out of
   // their lists — continues from what it found: further rings, sized the
-  // same way, cleaned in a further batch.
+  // same way, cleaned in a further batch. A range query has no count to
+  // reach: it cleans the query's immediate cells, and refinement settles
+  // everything within the radius beyond them.
   const std::vector<uint32_t>& counts = *cell_object_counts_;
   std::vector<Message> candidates;
   size_t clean_from = 0;     // cells in l_cells[clean_from..) not yet cleaned
   size_t frontier_from = 0;  // first cell of the outermost ring
   double counted = 0;        // objects expected in l_cells
   for (CellId c : l_cells) counted += counts[c];
-  const double rho_k = RhoK(*options_, k, control);
+  const double rho_k =
+      bound.counted() ? RhoK(*options_, bound.k, control) : 0.0;
   for (;;) {
     obs::Span ring_span = PhaseSpan(trace, obs::Phase::kExpand);
     while (counted < rho_k) {
@@ -408,7 +443,8 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
   sdist_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
 
-  // ---- Step 2b: GPU_First_k — candidate distances + k smallest -----------
+  // ---- Step 2b: GPU_First_k — candidate distances + k smallest within the
+  // radius (every candidate within it when the bound has no count) ---------
   obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
   auto object_distance = [&graph, &local_of, &device_dist, location](
                              ThreadCtx& ctx, const Message& m) -> Distance {
@@ -464,20 +500,21 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
                      })
             .status());
     // GPU_First_k: warp-bitonic k-smallest selection on the device; the k
-    // winners come back to the host (charged inside TopKSmallest).
+    // winners come back to the host (charged inside TopKSmallest, which
+    // clamps k to the candidate count).
     GKNN_ASSIGN_OR_RETURN(const auto selected,
                           gpusim::TopKSmallest<DistEntry>(
-                              device, entry_span, k, DistEntry{}));
+                              device, entry_span, bound.k, DistEntry{}));
     for (const DistEntry& e : selected) {
-      if (e.distance != kInfiniteDistance) {
+      if (e.distance != kInfiniteDistance && e.distance <= bound.radius) {
         candidate_topk.push_back(
             KnnResultEntry{candidates[e.index].object, e.distance});
       }
     }
   }
-  const Distance l = candidate_topk.size() >= k
+  const Distance l = candidate_topk.size() >= bound.k
                          ? candidate_topk.back().distance
-                         : kInfiniteDistance;
+                         : bound.radius;
   topk_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "topk"));
 
@@ -580,13 +617,13 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
     for (const auto& [v, dv] : unresolved) search.SeedMore(v, dv);
     // The search bound starts at l and tightens as refinement discovers
     // closer objects: the running kth-best estimate over candidates +
-    // finds.
-    KthBound bound(k);
+    // finds (a fixed radius when the bound has no count).
+    KthBound kth(bound.k, bound.radius);
     for (const KnnResultEntry& c : candidate_topk) {
-      bound.Offer(c.object, c.distance);
+      kth.Offer(c.object, c.distance);
     }
     search.SearchPrunedDynamic(
-        [&]() -> Distance { return bound.threshold(); },
+        [&]() -> Distance { return kth.threshold(); },
         [&](VertexId x, Distance dx) {
           for (EdgeId id : graph.OutEdgeIds(x)) {
             auto it = objects_on_edge_->find(id);
@@ -594,8 +631,10 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
             for (ObjectId o : it->second) {
               const ObjectTable::Entry* entry = object_table_->Find(o);
               if (entry == nullptr || entry->edge != id) continue;
-              refined.push_back(KnnResultEntry{o, dx + entry->offset});
-              bound.Offer(o, dx + entry->offset);
+              const Distance d = dx + entry->offset;
+              if (d > bound.radius) continue;
+              refined.push_back(KnnResultEntry{o, d});
+              kth.Offer(o, d);
             }
           }
           // Prune: a non-seed region vertex settled at >= its SDist label
@@ -636,11 +675,6 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
   }
   st.refined_objects = refined_objects;
 
-  util::BoundedTopK<KnnResultEntry> final_topk(k);
-  for (const auto& [object, distance] : best) {
-    final_topk.Offer(KnnResultEntry{object, distance});
-  }
-
   const auto ledger_after = device->ledger().totals();
   st.h2d_bytes = ledger_after.h2d_bytes - ledger_before.h2d_bytes;
   st.d2h_bytes = ledger_after.d2h_bytes - ledger_before.d2h_bytes;
@@ -656,302 +690,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryGpu(
       std::max(0.0, cpu_timer.ElapsedSeconds() -
                         (device->sim_wall_seconds() - sim_wall_before));
 
-  return final_topk.TakeSorted();
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRange(
-    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
-    ExecMode mode, const QueryControl* control) {
-  GKNN_RETURN_NOT_OK(ValidateLocation(location));
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "admission"));
-
-  WorkspaceLease lease(this);
-  QueryWorkspace& ws = *lease;
-
-  KnnStats local_stats;
-  KnnStats* st = stats != nullptr ? stats : &local_stats;
-  obs::QueryTraceRecord record;
-  obs::QueryTraceRecord* trace = tracer_ != nullptr ? &record : nullptr;
-  obs::Span total;
-  if (trace != nullptr) {
-    record.query_id = tracer_->NextQueryId();
-    record.t_query = t_now;
-    record.range = true;
-    record.exec_mode = static_cast<uint8_t>(mode);
-    total = tracer_->StartTotal(trace);
-  }
-  auto finish = [&](util::Result<std::vector<KnnResultEntry>> result) {
-    total.Stop();
-    if (trace != nullptr) {
-      st->query_id = record.query_id;
-      record.ok = result.ok();
-      record.results =
-          result.ok() ? static_cast<uint32_t>(result->size()) : 0;
-      record.cpu_fallback = st->cpu_fallback;
-      record.cells_examined = st->cells_examined;
-      tracer_->FinishQuery(std::move(record));
-    }
-    return result;
-  };
-
-  if (mode == ExecMode::kCpuOnly) {
-    ++counters_.cpu_queries;
-    return finish(
-        QueryRangeCpu(location, radius, t_now, st, trace, ws, control));
-  }
-  // Same lease-per-attempt + migrate-once policy as Query above.
-  uint32_t last_device = 0;
-  auto gpu_attempt =
-      [&](bool avoid_last) -> util::Result<std::vector<KnnResultEntry>> {
-    if (scheduler_ == nullptr) {
-      last_device = 0;
-      return QueryRangeGpu(device_, 0, location, radius, t_now, st, trace, ws,
-                           control);
-    }
-    gpusim::Scheduler::Lease sched_lease =
-        avoid_last ? scheduler_->AcquireAvoiding(last_device)
-                   : scheduler_->Acquire();
-    last_device = sched_lease.device_index();
-    util::Result<std::vector<KnnResultEntry>> r =
-        QueryRangeGpu(sched_lease.device(), sched_lease.device_index(),
-                      location, radius, t_now, st, trace, ws, control);
-    scheduler_->ReportResult(sched_lease.device_index(),
-                             !r.ok() && gpusim::IsDeviceError(r.status()));
-    return r;
-  };
-  util::Result<std::vector<KnnResultEntry>> result =
-      gpu_attempt(/*avoid_last=*/false);
-  if (!result.ok() && gpusim::IsDeviceError(result.status())) {
-    ++counters_.gpu_failures;
-    if (trace != nullptr) ++record.fault_events;
-    if (mode == ExecMode::kAuto && scheduler_ != nullptr &&
-        scheduler_->num_devices() > 1) {
-      result = gpu_attempt(/*avoid_last=*/true);
-      if (result.ok()) {
-        ++counters_.migrated_queries;
-      } else if (gpusim::IsDeviceError(result.status())) {
-        ++counters_.gpu_failures;
-        if (trace != nullptr) ++record.fault_events;
-      }
-    }
-    if (!result.ok() && gpusim::IsDeviceError(result.status()) &&
-        mode == ExecMode::kAuto) {
-      ++counters_.fallback_queries;
-      obs::Span fallback = PhaseSpan(trace, obs::Phase::kFallback);
-      result = QueryRangeCpu(location, radius, t_now, st, nullptr, ws, control);
-      fallback.Stop();
-    }
-  }
-  return finish(std::move(result));
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRangeGpu(
-    gpusim::Device* device, uint32_t device_index, EdgePoint location,
-    Distance radius, double t_now, KnnStats* stats,
-    obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-    const QueryControl* control) {
-  const roadnet::Graph& graph = grid_->graph();
-  const Edge& query_edge = graph.edge(location.edge);
-
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
-  st = KnnStats{};
-  const double device_clock_before = device->ClockSeconds();
-  const double sim_wall_before = device->sim_wall_seconds();
-  util::Timer cpu_timer;
-
-  // Clean the query's immediate cells; correctness beyond them comes from
-  // the boundary refinement (every location within `radius` outside the
-  // region is reached through an unresolved vertex).
-  std::vector<char> in_l(grid_->num_cells(), 0);
-  std::vector<CellId> l_cells;
-  auto add_cell = [&](CellId c) {
-    if (!in_l[c]) {
-      in_l[c] = 1;
-      l_cells.push_back(c);
-    }
-  };
-  obs::Span expand_span = PhaseSpan(trace, obs::Phase::kExpand);
-  const CellId query_cell = grid_->CellOfEdge(location.edge);
-  add_cell(query_cell);
-  add_cell(grid_->CellOfVertex(query_edge.target));
-  for (CellId nb : grid_->NeighborCells(query_cell)) add_cell(nb);
-  expand_span.Stop();
-  obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
-  GKNN_ASSIGN_OR_RETURN(
-      MessageCleaner::Outcome outcome,
-      cleaner_->Clean(l_cells, t_now, arena_, lists_, device_index,
-                      control != nullptr ? &control->deadline : nullptr));
-  clean_span.Stop();
-  if (trace != nullptr) {
-    trace->cells_cleaned += outcome.cells_cleaned;
-    trace->messages_shipped += outcome.messages_shipped;
-    if (outcome.messages_shipped > outcome.latest.size()) {
-      trace->messages_deduped += static_cast<uint32_t>(
-          outcome.messages_shipped - outcome.latest.size());
-    }
-  }
-  st.clean_pipeline_seconds = outcome.pipeline_seconds;
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
-  st.candidate_objects = static_cast<uint32_t>(outcome.latest.size());
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
-
-  // GPU_SDist over the region (same kernel as the kNN path).
-  obs::Span sdist_span = PhaseSpan(trace, obs::Phase::kSdist);
-  std::vector<VertexId> region_vertices;
-  for (CellId c : l_cells) grid_->AppendCellVertices(c, &region_vertices);
-  st.candidate_vertices = static_cast<uint32_t>(region_vertices.size());
-  ++ws.query_epoch;
-  for (uint32_t i = 0; i < region_vertices.size(); ++i) {
-    ws.local_id_of_vertex[region_vertices[i]] = i;
-    ws.local_id_epoch[region_vertices[i]] = ws.query_epoch;
-  }
-  auto local_of = [&](VertexId v) -> uint32_t {
-    return ws.local_id_epoch[v] == ws.query_epoch ? ws.local_id_of_vertex[v]
-                                                  : kInvalidVertex;
-  };
-  GKNN_ASSIGN_OR_RETURN(auto device_dist,
-                        DeviceBuffer<Distance>::Allocate(
-                            device, region_vertices.size(), "D"));
-  {
-    std::vector<Distance> init(region_vertices.size(), kInfiniteDistance);
-    const uint32_t seed = local_of(query_edge.target);
-    if (seed != kInvalidVertex) {
-      init[seed] = query_edge.weight - location.offset;
-    }
-    GKNN_RETURN_NOT_OK(device_dist.Upload(init).status());
-  }
-  // gknn-lint: allow(device-span): host reads D only after the kernels
-  // complete; in-kernel accesses go through the checked Load/AtomicMin.
-  auto dist_span = device_dist.device_span();
-  struct SlotRef {
-    CellId cell;
-    uint32_t slot;
-  };
-  std::vector<SlotRef> slots;
-  for (CellId c : l_cells) {
-    for (uint32_t i = 0; i < grid_->NumSlots(c); ++i) {
-      slots.push_back(SlotRef{c, i});
-    }
-  }
-  // AtomicMin relaxation, same as the kNN path's GPU_SDist.
-  GKNN_ASSIGN_OR_RETURN(
-      const auto sdist_stats,
-      device->LaunchIterative(
-      "GPU_SDist", static_cast<uint32_t>(slots.size()),
-      std::max<uint32_t>(1, st.candidate_vertices),
-      options_->sdist_early_exit,
-      [this, &slots, &local_of, &device_dist](ThreadCtx& ctx, uint32_t) {
-        const SlotRef ref = slots[ctx.thread_id];
-        const GraphGrid::VertexSlot& slot = grid_->Slot(ref.cell, ref.slot);
-        bool changed = false;
-        if (!slot.empty()) {
-          const uint32_t self = local_of(slot.vertex);
-          for (const GraphGrid::EdgeEntry& e :
-               grid_->SlotEdges(ref.cell, ref.slot)) {
-            const uint32_t src = local_of(e.source);
-            if (src == kInvalidVertex) continue;
-            const Distance d = device_dist.Load(ctx, src);
-            if (d != kInfiniteDistance &&
-                device_dist.AtomicMin(ctx, self, d + e.weight) >
-                    d + e.weight) {
-              changed = true;
-            }
-          }
-        }
-        ctx.CountOps(grid_->delta_v());
-        return changed;
-      }));
-  st.sdist_iterations = sdist_stats.iterations;
-  sdist_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "sdist"));
-
-  // In-range candidates of the cleaned region.
-  obs::Span topk_span = PhaseSpan(trace, obs::Phase::kTopk);
-  std::unordered_map<ObjectId, Distance> best;
-  for (const Message& m : outcome.latest) {
-    const Edge& e = graph.edge(m.edge);
-    Distance d = kInfiniteDistance;
-    const uint32_t src = local_of(e.source);
-    if (src != kInvalidVertex && dist_span[src] != kInfiniteDistance) {
-      d = dist_span[src] + m.offset;
-    }
-    if (m.edge == location.edge && m.offset >= location.offset) {
-      d = std::min<Distance>(d, m.offset - location.offset);
-    }
-    if (d <= radius) {
-      auto [it, inserted] = best.emplace(m.object, d);
-      if (!inserted) it->second = std::min(it->second, d);
-    }
-  }
-
-  topk_span.Stop();
-
-  // Unresolved boundary vertices within the radius, then the outward
-  // refinement (fixed absolute bound, domination prune as in the kNN
-  // path).
-  obs::Span unresolved_span = PhaseSpan(trace, obs::Phase::kUnresolved);
-  std::vector<std::pair<VertexId, Distance>> unresolved;
-  for (uint32_t i = 0; i < region_vertices.size(); ++i) {
-    const VertexId v = region_vertices[i];
-    const Distance d = dist_span[i];
-    if (d >= radius) continue;
-    for (EdgeId id : graph.OutEdgeIds(v)) {
-      if (!in_l[grid_->CellOfVertex(graph.edge(id).target)]) {
-        unresolved.emplace_back(v, d);
-        break;
-      }
-    }
-  }
-  st.unresolved_vertices = static_cast<uint32_t>(unresolved.size());
-  ++ws.seed_epoch;
-  for (const auto& [v, dv] : unresolved) {
-    (void)dv;
-    ws.seed_epoch_of[v] = ws.seed_epoch;
-  }
-  unresolved_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "unresolved"));
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  if (!unresolved.empty()) {
-    roadnet::BoundedDijkstra& search = ws.search;
-    search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-    search.BeginSearch();
-    for (const auto& [v, dv] : unresolved) search.SeedMore(v, dv);
-    search.SearchPruned(radius, [&](VertexId x, Distance dx) {
-      for (EdgeId id : graph.OutEdgeIds(x)) {
-        auto it = objects_on_edge_->find(id);
-        if (it == objects_on_edge_->end()) continue;
-        for (ObjectId o : it->second) {
-          const ObjectTable::Entry* entry = object_table_->Find(o);
-          if (entry == nullptr || entry->edge != id) continue;
-          const Distance d = dx + entry->offset;
-          if (d <= radius) {
-            auto [bit, inserted] = best.emplace(o, d);
-            if (!inserted) bit->second = std::min(bit->second, d);
-            ++st.refined_objects;
-          }
-        }
-      }
-      const uint32_t lx = local_of(x);
-      return !(lx != kInvalidVertex && ws.seed_epoch_of[x] != ws.seed_epoch &&
-               dx >= dist_span[lx]);
-    });
-  }
-  refine_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
-
-  std::vector<KnnResultEntry> result;
-  result.reserve(best.size());
-  for (const auto& [object, d] : best) {
-    result.push_back(KnnResultEntry{object, d});
-  }
-  std::sort(result.begin(), result.end());
-
-  st.gpu_seconds = device->ClockSeconds() - device_clock_before;
-  st.cpu_seconds =
-      std::max(0.0, cpu_timer.ElapsedSeconds() -
-                        (device->sim_wall_seconds() - sim_wall_before));
-  return result;
+  return SortedAnswer(best, bound.k);
 }
 
 // ---- CPU-only execution (degraded mode) -----------------------------------
@@ -965,7 +704,7 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRangeGpu(
 // without bound.
 
 util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryCpu(
-    EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
+    EdgePoint location, Bound bound, double t_now, KnnStats* stats,
     obs::QueryTraceRecord* trace, QueryWorkspace& ws,
     const QueryControl* control) {
   const roadnet::Graph& graph = grid_->graph();
@@ -1003,11 +742,12 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryCpu(
 
   obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
   std::unordered_map<ObjectId, Distance> best;
-  KthBound bound(k);
+  KthBound kth(bound.k, bound.radius);
   auto offer = [&](ObjectId o, Distance d) {
+    if (d > bound.radius) return;
     auto [it, inserted] = best.emplace(o, d);
     if (!inserted) it->second = std::min(it->second, d);
-    bound.Offer(o, d);
+    kth.Offer(o, d);
   };
   // Objects ahead of the query on its own edge: direct along-edge path,
   // the one route that does not pass through the edge's target.
@@ -1022,15 +762,15 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryCpu(
     }
   }
   // Every other route starts at the query edge's target. The search radius
-  // is the running kth-best bound over distinct objects — it starts
-  // unbounded (the whole network is in scope when fewer than k objects are
-  // known) and shrinks as objects are discovered.
+  // is the running kth-best bound over distinct objects — it starts at the
+  // query's radius (the whole network is in scope for a kNN query while
+  // fewer than k objects are known) and shrinks as objects are discovered.
   roadnet::BoundedDijkstra& search = ws.search;
   search.set_deadline(control != nullptr ? &control->deadline : nullptr);
   search.BeginSearch();
   search.SeedMore(query_edge.target, query_edge.weight - location.offset);
   search.SearchPrunedDynamic(
-      [&]() -> Distance { return bound.threshold(); },
+      [&]() -> Distance { return kth.threshold(); },
       [&](VertexId x, Distance dx) {
         for (EdgeId id : graph.OutEdgeIds(x)) {
           auto oit = objects_on_edge_->find(id);
@@ -1046,95 +786,8 @@ util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryCpu(
   refine_span.Stop();
   GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
   st.refined_objects = static_cast<uint32_t>(best.size());
-
-  util::BoundedTopK<KnnResultEntry> final_topk(k);
-  for (const auto& [object, distance] : best) {
-    final_topk.Offer(KnnResultEntry{object, distance});
-  }
   st.cpu_seconds = cpu_timer.ElapsedSeconds();
-  return final_topk.TakeSorted();
-}
-
-util::Result<std::vector<KnnResultEntry>> KnnEngine::QueryRangeCpu(
-    EdgePoint location, Distance radius, double t_now, KnnStats* stats,
-    obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-    const QueryControl* control) {
-  const roadnet::Graph& graph = grid_->graph();
-  const Edge& query_edge = graph.edge(location.edge);
-  KnnStats local_stats;
-  KnnStats& st = stats != nullptr ? *stats : local_stats;
-  st = KnnStats{};
-  st.cpu_fallback = true;
-  util::Timer cpu_timer;
-
-  std::vector<CellId> l_cells;
-  {
-    std::vector<char> in_l(grid_->num_cells(), 0);
-    auto add_cell = [&](CellId c) {
-      if (!in_l[c]) {
-        in_l[c] = 1;
-        l_cells.push_back(c);
-      }
-    };
-    const CellId query_cell = grid_->CellOfEdge(location.edge);
-    add_cell(query_cell);
-    add_cell(grid_->CellOfVertex(query_edge.target));
-    for (CellId nb : grid_->NeighborCells(query_cell)) add_cell(nb);
-  }
-  obs::Span clean_span = PhaseSpan(trace, obs::Phase::kClean);
-  GKNN_ASSIGN_OR_RETURN(MessageCleaner::Outcome outcome,
-                        cleaner_->CleanCpu(l_cells, t_now, arena_, lists_));
-  clean_span.Stop();
-  if (trace != nullptr) trace->cells_cleaned += outcome.cells_cleaned;
-  st.cells_examined = static_cast<uint32_t>(l_cells.size());
-  st.candidate_objects = static_cast<uint32_t>(outcome.latest.size());
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "clean"));
-
-  obs::Span refine_span = PhaseSpan(trace, obs::Phase::kRefine);
-  std::unordered_map<ObjectId, Distance> best;
-  auto offer = [&](ObjectId o, Distance d) {
-    if (d > radius) return;
-    auto [it, inserted] = best.emplace(o, d);
-    if (!inserted) it->second = std::min(it->second, d);
-  };
-  if (auto it = objects_on_edge_->find(location.edge);
-      it != objects_on_edge_->end()) {
-    for (ObjectId o : it->second) {
-      const ObjectTable::Entry* entry = object_table_->Find(o);
-      if (entry != nullptr && entry->edge == location.edge &&
-          entry->offset >= location.offset) {
-        offer(o, entry->offset - location.offset);
-      }
-    }
-  }
-  roadnet::BoundedDijkstra& search = ws.search;
-  search.set_deadline(control != nullptr ? &control->deadline : nullptr);
-  search.BeginSearch();
-  search.SeedMore(query_edge.target, query_edge.weight - location.offset);
-  search.SearchPruned(radius, [&](VertexId x, Distance dx) {
-    for (EdgeId id : graph.OutEdgeIds(x)) {
-      auto oit = objects_on_edge_->find(id);
-      if (oit == objects_on_edge_->end()) continue;
-      for (ObjectId o : oit->second) {
-        const ObjectTable::Entry* entry = object_table_->Find(o);
-        if (entry == nullptr || entry->edge != id) continue;
-        offer(o, dx + entry->offset);
-      }
-    }
-    return true;
-  });
-  refine_span.Stop();
-  GKNN_RETURN_NOT_OK(CheckBudget(control, "refine"));
-  st.refined_objects = static_cast<uint32_t>(best.size());
-
-  std::vector<KnnResultEntry> result;
-  result.reserve(best.size());
-  for (const auto& [object, d] : best) {
-    result.push_back(KnnResultEntry{object, d});
-  }
-  std::sort(result.begin(), result.end());
-  st.cpu_seconds = cpu_timer.ElapsedSeconds();
-  return result;
+  return SortedAnswer(best, bound.k);
 }
 
 }  // namespace gknn::core

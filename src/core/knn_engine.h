@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -67,7 +68,7 @@ struct KnnStats {
   uint32_t candidate_vertices = 0;   // |V| sent to GPU_SDist
   uint32_t sdist_iterations = 0;     // Bellman-Ford rounds executed
   uint32_t unresolved_vertices = 0;  // |U|
-  uint32_t refined_objects = 0;      // objects found by Refine_kNN
+  uint32_t refined_objects = 0;      // distinct objects Refine_kNN added
   double clean_pipeline_seconds = 0;  // modeled cleaning pipeline time
   double gpu_seconds = 0;             // modeled device time (kernels+copies)
   double cpu_seconds = 0;             // measured host time of CPU phases
@@ -105,6 +106,12 @@ struct EngineCounters {
 /// settles those ranges with a bounded multi-source Dijkstra on the host
 /// (Algorithm 6).
 ///
+/// kNN and range queries are one pipeline under two bounds: kNN bounds the
+/// answer's count (k) and lets the search radius shrink to the running kth
+/// distance; a range query fixes the radius and has no count. Both enter
+/// through one front door (validation, tracing, device lease, migrate-once
+/// and the kAuto CPU fallback) and run one GPU path or one CPU path.
+///
 /// Thread-safety (docs/CONCURRENCY.md): Query and QueryRange may be called
 /// from any number of threads concurrently, provided no thread mutates the
 /// index structures (message lists, object table, grid) at the same time —
@@ -132,10 +139,10 @@ class KnnEngine {
       const QueryControl* control = nullptr);
 
   /// Range variant (an extension beyond the paper): every object within
-  /// network distance `radius` of `location`, sorted ascending. Uses the
-  /// same pipeline — clean the query's cells, GPU_SDist over them, then
-  /// refine outward from the unresolved boundary vertices with the fixed
-  /// radius as the bound.
+  /// network distance `radius` of `location`, sorted ascending. The same
+  /// pipeline as Query with no count limit: no ring target (the query's
+  /// immediate cells are cleaned), GPU_First_k keeps every candidate
+  /// within `radius`, and refinement is bounded by `radius`.
   util::Result<std::vector<KnnResultEntry>> QueryRange(
       roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
       KnnStats* stats = nullptr, ExecMode mode = ExecMode::kAuto,
@@ -208,29 +215,42 @@ class KnnEngine {
     return tracer_->StartSpan(trace, phase);
   }
 
+  /// What one query asks for: kNN is {k, kInfiniteDistance}, a range
+  /// query is {kNoCountLimit, R}. The pipeline reads it at five points —
+  /// the ring target (rho*k, none without a count), what GPU_First_k keeps
+  /// (the k smallest candidates within the radius), the unresolved
+  /// threshold l (the kth candidate distance, else the radius), the
+  /// refinement radius (the running kth bound, starting at the radius) and
+  /// the answer (sorted, cut to k).
+  struct Bound {
+    static constexpr uint32_t kNoCountLimit =
+        std::numeric_limits<uint32_t>::max();
+    uint32_t k;
+    roadnet::Distance radius;
+    bool counted() const { return k != kNoCountLimit; }
+  };
+
+  /// The one front door: validates the query, records its trace, leases a
+  /// device per GPU attempt, migrates once on a multi-device set and falls
+  /// back to the CPU path under kAuto.
+  util::Result<std::vector<KnnResultEntry>> Run(
+      roadnet::EdgePoint location, Bound bound, double t_now,
+      KnnStats* stats, ExecMode mode, const QueryControl* control);
   /// The paper's pipeline (GPU cleaning + SDist + First_k + Unresolved +
   /// CPU refinement), executed on `device` (index `device_index` of the
   /// set, used to route cleaning to that device's staging context). Any
   /// device error aborts the query and propagates.
   util::Result<std::vector<KnnResultEntry>> QueryGpu(
       gpusim::Device* device, uint32_t device_index,
-      roadnet::EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-      obs::QueryTraceRecord* trace, QueryWorkspace& ws,
+      roadnet::EdgePoint location, Bound bound, double t_now,
+      KnnStats* stats, obs::QueryTraceRecord* trace, QueryWorkspace& ws,
       const QueryControl* control);
   /// Exact host-only execution: CleanCpu over the query's cells, then one
   /// bounded Dijkstra from the query point over the eagerly maintained
-  /// object table, its radius shrinking with the running kth-best bound.
+  /// object table, its radius shrinking with the running kth-best bound
+  /// (fixed at the radius when the bound has no count).
   util::Result<std::vector<KnnResultEntry>> QueryCpu(
-      roadnet::EdgePoint location, uint32_t k, double t_now, KnnStats* stats,
-      obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
-  util::Result<std::vector<KnnResultEntry>> QueryRangeGpu(
-      gpusim::Device* device, uint32_t device_index,
-      roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
-      KnnStats* stats, obs::QueryTraceRecord* trace, QueryWorkspace& ws,
-      const QueryControl* control);
-  util::Result<std::vector<KnnResultEntry>> QueryRangeCpu(
-      roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
+      roadnet::EdgePoint location, Bound bound, double t_now,
       KnnStats* stats, obs::QueryTraceRecord* trace, QueryWorkspace& ws,
       const QueryControl* control);
   /// Construction-time device; every query runs here when no scheduler is

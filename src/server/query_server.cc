@@ -342,13 +342,8 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteShared(
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnn(
     roadnet::EdgePoint location, uint32_t k, double t_now) {
-  return ExecuteAdmitted(
-      DefaultDeadline(),
-      options_.brownout ? PredictQueryGpuSeconds(k) : 0.0,
-      [&](core::ExecMode mode, core::KnnStats* stats,
-          const core::QueryControl* control) {
-        return index_->QueryKnn(location, k, t_now, stats, mode, control);
-      });
+  return QueryKnnRouted(location, k, t_now, DefaultDeadline(),
+                        /*brownout_pressure=*/false);
 }
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnnRouted(
@@ -367,6 +362,8 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnnRouted(
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRangeRouted(
     roadnet::EdgePoint location, roadnet::Distance radius, double t_now,
     const util::Deadline& deadline, bool brownout_pressure) {
+  // Range queries have no k for the cost model and no candidate-ring
+  // target, so brownout leaves them unchanged: it only counts them.
   return ExecuteAdmitted(
       deadline, 0.0,
       [&](core::ExecMode mode, core::KnnStats* stats,
@@ -379,15 +376,8 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRangeRouted(
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRange(
     roadnet::EdgePoint location, roadnet::Distance radius, double t_now) {
-  // Range queries have no k for the cost model; brownout degrades them
-  // through the ring scale only.
-  return ExecuteAdmitted(
-      DefaultDeadline(), 0.0,
-      [&](core::ExecMode mode, core::KnnStats* stats,
-          const core::QueryControl* control) {
-        return index_->QueryRange(location, radius, t_now, stats, mode,
-                                  control);
-      });
+  return QueryRangeRouted(location, radius, t_now, DefaultDeadline(),
+                          /*brownout_pressure=*/false);
 }
 
 util::Result<std::vector<std::vector<core::KnnResultEntry>>>

@@ -2,10 +2,11 @@
 // three independent engines — G-Grid in kAuto mode (GPU pipeline), G-Grid
 // in kCpuOnly mode (exact host path), and the brute-force oracle — and
 // every query's answer must agree across all three (by distance multiset;
-// ties may permute objects). On top of the answers, the kAuto index's
-// observability layer is held to its invariants: phase times sum to at
-// most the query total, counters only grow, and the latency histogram
-// observes exactly once per query.
+// ties may permute objects). Each full kNN answer is also checked against
+// a range query at its kth distance, on both the GPU and the CPU path. On
+// top of the answers, the kAuto index's observability layer is held to its
+// invariants: phase times sum to at most the query total, counters only
+// grow, and the latency histogram observes exactly once per query.
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,27 @@ TEST(DifferentialKnnTest, AutoCpuAndOracleAgreeOnSeededTrace) {
         << "kAuto vs kCpuOnly diverged at t=" << q.time;
     EXPECT_EQ(auto_distances, Distances(*via_oracle))
         << "kAuto vs oracle diverged at t=" << q.time;
+
+    // Cross-bound check: a range query at the kth distance d_k is the same
+    // pipeline under the other bound, so its GPU and CPU paths agree entry
+    // for entry and its first k entries are the kNN answer. It runs on the
+    // kCpuOnly twin so the kAuto index's metrics count kNN queries only.
+    if (via_auto->size() == q.k) {
+      const roadnet::Distance d_k = via_auto->back().distance;
+      auto range_gpu = cpu_index->QueryRange(q.location, d_k, q.time,
+                                             nullptr, ExecMode::kGpuOnly);
+      auto range_cpu = cpu_index->QueryRange(q.location, d_k, q.time,
+                                             nullptr, ExecMode::kCpuOnly);
+      ASSERT_TRUE(range_gpu.ok()) << range_gpu.status().ToString();
+      ASSERT_TRUE(range_cpu.ok()) << range_cpu.status().ToString();
+      EXPECT_EQ(*range_gpu, *range_cpu)
+          << "range kGpuOnly vs kCpuOnly diverged at t=" << q.time;
+      ASSERT_GE(range_gpu->size(), q.k);
+      EXPECT_EQ(std::vector<KnnResultEntry>(range_gpu->begin(),
+                                            range_gpu->begin() + q.k),
+                *via_auto)
+          << "range prefix vs kNN diverged at t=" << q.time;
+    }
 
     if (obs::kEnabled) {
       // Counters are monotone and advance by exactly one query per query.

@@ -127,6 +127,29 @@ TEST(RangeQueryTest, WorksUnderMovement) {
   }
 }
 
+// A range query reports its own device traffic: on a quiesced single
+// device the stats' transfer fields equal the ledger's delta across the
+// call, and refined_objects counts distinct objects refinement added.
+TEST(RangeQueryTest, StatsMatchTheDeviceLedger) {
+  Fixture fx(350, 50, 11);
+  // A failed GPU attempt transfers too before the CPU fallback answers, so
+  // the comparison needs a healthy device.
+  ASSERT_TRUE(fx.device.SetFaultSpec("").ok());
+  const auto before = fx.device.ledger().totals();
+  KnnStats stats;
+  auto result = fx.index->QueryRange({3, 0}, 2000, 0.0, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto after = fx.device.ledger().totals();
+  ASSERT_FALSE(stats.cpu_fallback);
+  EXPECT_GT(stats.h2d_bytes, 0u);
+  EXPECT_GT(stats.d2h_bytes, 0u);
+  EXPECT_EQ(stats.h2d_bytes, after.h2d_bytes - before.h2d_bytes);
+  EXPECT_EQ(stats.d2h_bytes, after.d2h_bytes - before.d2h_bytes);
+  EXPECT_DOUBLE_EQ(stats.transfer_seconds,
+                   after.total_seconds() - before.total_seconds());
+  EXPECT_LE(stats.refined_objects, result->size());
+}
+
 TEST(RangeQueryTest, RejectsInvalidLocation) {
   Fixture fx(200, 5, 9);
   EXPECT_TRUE(fx.index->QueryRange({fx.graph.num_edges(), 0}, 10, 0.0)
