@@ -1,7 +1,9 @@
 #include "core/message_cleaner.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <limits>
+#include <utility>
 
 #include "core/mu.h"
 #include "gpusim/device_buffer.h"
@@ -91,16 +93,13 @@ util::lockdep::MultiLock MessageCleaner::LockCellStripes(
   // stripes acquire as one ranked multi-lock, and lockdep's
   // ascending-stripe rule asserts the order on every acquisition — an
   // unsorted or duplicated set is reported as a violation rather than
-  // left as a latent ABBA window.
-  std::vector<size_t> stripes;
-  stripes.reserve(cells.size());
-  for (CellId cell : cells) stripes.push_back(cell % kCleanStripes);
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  // left as a latent ABBA window. A bit mask yields the set in that order.
+  uint32_t mask = 0;
+  for (CellId cell : cells) mask |= 1u << (cell % kCleanStripes);
   std::vector<util::lockdep::Mutex*> mutexes;
-  mutexes.reserve(stripes.size());
-  for (size_t stripe : stripes) {
-    mutexes.push_back(&clean_stripes_[stripe]);
+  mutexes.reserve(static_cast<size_t>(std::popcount(mask)));
+  for (; mask != 0; mask &= mask - 1) {
+    mutexes.push_back(&clean_stripes_[std::countr_zero(mask)]);
   }
   return util::lockdep::MultiLock(std::move(mutexes));
 }
@@ -125,11 +124,11 @@ MessageCleaner::Plan MessageCleaner::Preprocess(
   for (CellId cell : cells) {
     MessageList& list = (*lists)[cell];
     if (list.locked()) continue;  // under processing: skip safely
+    ++outcome.cells_cleaned;
     if (list.num_messages() == 0) {
       // No cached messages means no objects in this cell (an occupied
       // cell always retains at least the compacted latest message of each
       // object): nothing to lock, ship, or rewrite.
-      ++outcome.cells_cleaned;
       continue;
     }
     if (list.compacted()) {
@@ -156,90 +155,162 @@ MessageCleaner::Plan MessageCleaner::Preprocess(
             outcome.latest.back().cell = cell;
           }
         }
-        ++outcome.cells_cleaned;
         ++outcome.cells_served_compacted;
         continue;
       }
     }
-    std::vector<uint32_t> locked_ids = list.LockForCleaning(arena);
-    LockedCell lc{cell, {}, {}};
-    for (uint32_t bucket_id : locked_ids) {
-      const Bucket& bucket = arena->bucket(bucket_id);
+    plan.locked.push_back(LockedCell{cell, 0, 0});
+  }
+
+  // One arena acquisition for the lock buckets of every cell.
+  std::vector<uint32_t> lock_buckets(plan.locked.size());
+  arena->AllocMany(lock_buckets);
+  size_t kept = 0;
+  size_t repeats = 0;
+  for (size_t i = 0; i < plan.locked.size(); ++i) {
+    LockedCell& lc = plan.locked[kept];
+    lc = plan.locked[i];
+    MessageList& list = (*lists)[lc.cell];
+    if (list.locked()) {
+      // A repeat of a cell locked earlier in this batch: skipped like any
+      // locked list, its lock bucket unused.
+      --outcome.cells_cleaned;
+      lock_buckets[repeats++] = lock_buckets[i];
+      continue;
+    }
+    ++kept;
+    list.LockForCleaning(arena, lock_buckets[i]);
+    lc.first_bucket = static_cast<uint32_t>(plan.buckets.size());
+    for (uint32_t b = list.head(); b != list.lock_boundary();
+         b = arena->bucket(b).next) {
+      plan.buckets.push_back(b);
+      const Bucket& bucket = arena->bucket(b);
       if (bucket.messages.empty() ||
           bucket.latest_time < t_now - options_.t_delta) {
         // Every message in the bucket predates t_now - t_Delta: the
         // sender contract (one update per t_Delta) guarantees newer
         // messages exist, so the bucket is discarded wholesale — at
-        // commit time; freeing it now would let the arena recycle it into
-        // a later cell's lock bucket, corrupting the chain a rollback
-        // must restore.
+        // commit time; releasing it now would let the arena recycle it
+        // into another batch's lock bucket, corrupting the chain a
+        // rollback must restore.
         ++outcome.buckets_expired;
-        lc.expired_buckets.push_back(bucket_id);
         continue;
       }
-      std::vector<Message> flat = bucket.messages;
-      for (Message& m : flat) m.cell = cell;
-      outcome.messages_shipped += static_cast<uint32_t>(flat.size());
-      plan.host_buckets.push_back(std::move(flat));
-      lc.shipped_buckets.push_back(bucket_id);
+      for (const Message& m : bucket.messages) {
+        plan.staged.push_back(m);
+        plan.staged.back().cell = lc.cell;
+      }
+      plan.staged_offsets.push_back(
+          static_cast<uint32_t>(plan.staged.size()));
     }
-    plan.locked.push_back(std::move(lc));
-    ++outcome.cells_cleaned;
+    lc.end_bucket = static_cast<uint32_t>(plan.buckets.size());
   }
-  outcome.buckets_shipped = static_cast<uint32_t>(plan.host_buckets.size());
+  plan.locked.resize(kept);
+  // Never linked into a list, so safe to release before commit.
+  arena->FreeAll(std::span(lock_buckets).first(repeats));
+  outcome.buckets_shipped = plan.num_shipped();
+  outcome.messages_shipped = static_cast<uint32_t>(plan.staged.size());
   return plan;
+}
+
+// ---- Object index: open addressing with epoch-stamped slots ---------------
+void MessageCleaner::ObjectIndex::Reset(size_t max_objects) {
+  size_ = 0;
+  // Probe only the first `capacity` slots, sized for this batch, so a
+  // small batch stays cache-resident after a large one grew the storage.
+  const size_t capacity = std::bit_ceil(std::max<size_t>(2 * max_objects, 16));
+  mask_ = capacity - 1;
+  shift_ = 64 - static_cast<uint32_t>(std::countr_zero(capacity));
+  if (slots_.size() < capacity) {
+    slots_.assign(capacity, Slot{});
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {
+    // The stamp wrapped: clear the stamps the new epoch could collide with.
+    for (Slot& slot : slots_) slot.epoch = 0;
+    epoch_ = 1;
+  }
+}
+
+size_t MessageCleaner::ObjectIndex::Home(ObjectId object) const {
+  // Fibonacci hashing: the top bits of a multiplicative hash.
+  return static_cast<size_t>((uint64_t{object} * 0x9E3779B97F4A7C15ull) >>
+                             shift_);
+}
+
+uint32_t MessageCleaner::ObjectIndex::Insert(ObjectId object) {
+  // At most half of the probed slots fill, so a free one lies within a lap.
+  for (size_t probe = 0, i = Home(object); probe <= mask_;
+       ++probe, i = (i + 1) & mask_) {
+    Slot& slot = slots_[i];
+    if (slot.epoch != epoch_) {
+      slot = Slot{object, size_, epoch_};
+      return size_++;
+    }
+    if (slot.object == object) return slot.index;
+  }
+  GKNN_CHECK(false) << "object index full: Reset sized it too small";
+  return 0;
+}
+
+uint32_t MessageCleaner::ObjectIndex::Find(ObjectId object) const {
+  for (size_t probe = 0, i = Home(object); probe <= mask_;
+       ++probe, i = (i + 1) & mask_) {
+    const Slot& slot = slots_[i];
+    if (slot.epoch != epoch_) break;  // an empty slot ends the probe chain
+    if (slot.object == object) return slot.index;
+  }
+  GKNN_CHECK(false) << "object " << object << " not in this batch's index";
+  return 0;
 }
 
 // ---- Phase 2 (GPU): upload + GPU_X_Shuffle + GPU_Collect ------------------
 util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
     Plan* plan, DeviceCtx* ctx, const util::Deadline* deadline) {
   Device* const device = ctx->device;
-  const std::vector<std::vector<Message>>& host_buckets = plan->host_buckets;
+  const Plan& batch = *plan;
 
   // Dense object index over every object appearing in the batch.
-  std::unordered_map<ObjectId, uint32_t> object_index;
-  for (const auto& bucket : host_buckets) {
-    for (const Message& m : bucket) {
-      object_index.emplace(m.object,
-                           static_cast<uint32_t>(object_index.size()));
-    }
-  }
-  const uint32_t num_objects = static_cast<uint32_t>(object_index.size());
+  ObjectIndex& object_index = ctx->object_index;
+  object_index.Reset(batch.staged.size());
+  for (const Message& m : batch.staged) object_index.Insert(m.object);
+  const uint32_t num_objects = object_index.size();
   GKNN_DCHECK(num_objects > 0);
 
   const uint32_t width = 1u << options_.eta;
-  const uint32_t n_buckets = static_cast<uint32_t>(host_buckets.size());
+  const uint32_t n_buckets = batch.num_shipped();
   const uint32_t n_bundles = (n_buckets + width - 1) / width;
 
   // ---- Device memory (tables T and R, §IV-B2) ----------------------------
   GKNN_RETURN_NOT_OK(EnsureCapacity(
       device, &ctx->device_messages,
       static_cast<size_t>(n_buckets) * options_.delta_b, "L.A"));
+  const size_t t_capacity = ctx->table_t.size();
   GKNN_RETURN_NOT_OK(EnsureCapacity(
       device, &ctx->table_t, static_cast<size_t>(num_objects) * n_bundles,
       "T"));
+  if (ctx->table_t.size() != t_capacity) ctx->table_t_dirty = true;
   GKNN_RETURN_NOT_OK(EnsureCapacity(device, &ctx->table_r, num_objects, "R"));
 
   // gknn-lint: allow(device-span): host-side staging writes into L.A
   // between the chunk's EnqueueH2D and its kernel; kernels use the
   // checked Load.
   auto msg_span = ctx->device_messages.device_span();
-  // T starts empty: a device-side memset kernel, one entry per thread.
-  // Its cost is what makes small delta_b expensive — more buckets mean
-  // more bundles, hence a wider T and a slower GPU_Collect (the paper's
-  // Fig. 4a left branch).
-  GKNN_RETURN_NOT_OK(
-      device
-          ->Launch("GPU_Memset_T",
-                   static_cast<uint32_t>(static_cast<size_t>(num_objects) *
-                                         n_bundles),
-                   [ctx](ThreadCtx& thread) {
-                     ctx->table_t.Store(thread, thread.thread_id,
-                                        kNullMessage);
-                     thread.CountOps(1);
-                   })
-          .status());
-
+  // T must start all-null. GPU_Collect leaves it that way, so the
+  // device-side memset kernel (one entry per thread) runs only over a
+  // freshly grown T or after a batch that failed midway.
+  if (ctx->table_t_dirty) {
+    GKNN_RETURN_NOT_OK(
+        device
+            ->Launch("GPU_Memset_T",
+                     static_cast<uint32_t>(ctx->table_t.size()),
+                     [ctx](ThreadCtx& thread) {
+                       ctx->table_t.Store(thread, thread.thread_id,
+                                          kNullMessage);
+                       thread.CountOps(1);
+                     })
+            .status());
+  }
   // ---- Pipelined upload + GPU_X_Shuffle (§IV-C, Alg. 3) ------------------
   Stream stream(device, options_.pipelined_transfer);
   // Chunks are rounded to whole bundles so a kernel never reads buckets
@@ -283,17 +354,20 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
     GKNN_RETURN_NOT_OK(stream.EnqueueH2D(static_cast<uint64_t>(count) *
                                          options_.delta_b * sizeof(Message)));
     for (uint32_t b = first; b < first + count; ++b) {
-      const auto& src = host_buckets[b];
-      std::copy(src.begin(), src.end(),
+      std::copy(batch.staged.begin() + batch.staged_offsets[b],
+                batch.staged.begin() + batch.staged_offsets[b + 1],
                 msg_span.begin() + static_cast<size_t>(b) * options_.delta_b);
     }
 
     const uint32_t first_bundle = first / width;
     const uint32_t chunk_bundles = (count + width - 1) / width;
+    // From the first write to T until GPU_Collect has nulled it again, a
+    // failure leaves T dirty for the next batch.
+    ctx->table_t_dirty = true;
     auto stats = LaunchWarps(
         device, "GPU_X_Shuffle", chunk_bundles, width,
-        [this, &host_buckets, &object_index, &bucket_message, &t_load,
-         &t_store, first_bundle, width, n_buckets](WarpCtx& warp) {
+        [this, &batch, &object_index, &bucket_message, &t_load, &t_store,
+         first_bundle, width, n_buckets](WarpCtx& warp) {
           const uint32_t bundle = first_bundle + warp.warp_id();
           // Per-lane message cache Gamma (Alg. 3 line 1). The paper sizes
           // it eta, but a lane performs eta+1 cache steps per read round
@@ -314,9 +388,7 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
           for (uint32_t lane = 0; lane < width; ++lane) {
             const uint32_t bucket = bundle * width + lane;
             if (bucket < n_buckets) {
-              max_fill = std::max(
-                  max_fill,
-                  static_cast<uint32_t>(host_buckets[bucket].size()));
+              max_fill = std::max(max_fill, batch.bucket_size(bucket));
             }
           }
           for (uint32_t round = max_fill; round-- > 0;) {
@@ -325,8 +397,7 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
             // first: Alg. 3 iterates i from delta_m - 1 down to 0).
             for (uint32_t lane = 0; lane < width; ++lane) {
               const uint32_t bucket = bundle * width + lane;
-              if (bucket < n_buckets &&
-                  round < host_buckets[bucket].size()) {
+              if (bucket < n_buckets && round < batch.bucket_size(bucket)) {
                 m[lane] = bucket_message(warp, bucket, round);
               } else {
                 m[lane] = kNullMessage;
@@ -384,14 +455,14 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
               std::vector<uint8_t> want(width, 0);
               for (uint32_t lane = 0; lane < width; ++lane) {
                 if (IsNullMessage(m[lane])) continue;
-                const uint32_t idx = object_index.at(m[lane].object);
+                const uint32_t idx = object_index.Find(m[lane].object);
                 const Message current = t_load(warp, idx, bundle);
                 want[lane] =
                     IsNullMessage(current) || current.seq < m[lane].seq;
               }
               for (uint32_t lane = 0; lane < width; ++lane) {
                 if (want[lane]) {
-                  t_store(warp, object_index.at(m[lane].object), bundle,
+                  t_store(warp, object_index.Find(m[lane].object), bundle,
                           m[lane]);
                 }
               }
@@ -409,28 +480,29 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
   }
 
   // ---- GPU_Collect — reduce T into R, one thread per object --------------
-  std::vector<std::pair<ObjectId, uint32_t>> objects(object_index.begin(),
-                                                     object_index.end());
+  // Each thread also nulls the T entries it read, leaving T clean for the
+  // next batch at no extra launch.
   // gknn-lint: allow(device-span): host reads R only after Synchronize;
   // GPU_Collect itself writes through the checked Store.
   auto r_span = ctx->table_r.device_span();
   auto collect_stats = device->Launch(
-      "GPU_Collect", num_objects,
-      [ctx, &objects, n_bundles](ThreadCtx& thread) {
-        const uint32_t idx = objects[thread.thread_id].second;
+      "GPU_Collect", num_objects, [ctx, n_bundles](ThreadCtx& thread) {
+        const uint32_t idx = thread.thread_id;
         Message best = kNullMessage;
         for (uint32_t bundle = 0; bundle < n_bundles; ++bundle) {
-          const Message candidate = ctx->table_t.Load(
-              thread, static_cast<size_t>(idx) * n_bundles + bundle);
-          if (!IsNullMessage(candidate) &&
-              (IsNullMessage(best) || candidate.seq > best.seq)) {
+          const size_t entry = static_cast<size_t>(idx) * n_bundles + bundle;
+          const Message candidate = ctx->table_t.Load(thread, entry);
+          if (IsNullMessage(candidate)) continue;
+          if (IsNullMessage(best) || candidate.seq > best.seq) {
             best = candidate;
           }
+          ctx->table_t.Store(thread, entry, kNullMessage);
         }
         ctx->table_r.Store(thread, idx, best);
         thread.CountOps(n_bundles);
       });
   GKNN_RETURN_NOT_OK(collect_stats.status());
+  ctx->table_t_dirty = false;
   stream.MoveKernelToStream(*collect_stats);
   GKNN_RETURN_NOT_OK(
       stream.EnqueueD2H(static_cast<uint64_t>(num_objects) * sizeof(Message)));
@@ -439,19 +511,24 @@ util::Result<std::vector<Message>> MessageCleaner::CompactOnDevice(
   return std::vector<Message>(r_span.begin(), r_span.begin() + num_objects);
 }
 
+bool MessageCleaner::TableTIsNull(uint32_t device_index) const {
+  const DeviceCtx& ctx = *contexts_[device_index];
+  // gknn-lint: allow(device-span): host-side inspection while idle.
+  const auto t = ctx.table_t.device_span();
+  return std::all_of(t.begin(), t.end(), IsNullMessage);
+}
+
 // ---- Phase 2 (host): the same table R by a sequential fold ----------------
 std::vector<Message> MessageCleaner::CompactOnHost(const Plan& plan) const {
-  std::unordered_map<ObjectId, uint32_t> index_of;
+  ObjectIndex index_of;
+  index_of.Reset(plan.staged.size());
   std::vector<Message> table_r;
-  for (const auto& bucket : plan.host_buckets) {
-    for (const Message& m : bucket) {
-      auto [it, inserted] =
-          index_of.emplace(m.object, static_cast<uint32_t>(table_r.size()));
-      if (inserted) {
-        table_r.push_back(m);
-      } else if (table_r[it->second].seq < m.seq) {
-        table_r[it->second] = m;
-      }
+  for (const Message& m : plan.staged) {
+    const uint32_t idx = index_of.Insert(m.object);
+    if (idx == table_r.size()) {
+      table_r.push_back(m);
+    } else if (table_r[idx].seq < m.seq) {
+      table_r[idx] = m;
     }
   }
   return table_r;
@@ -462,27 +539,64 @@ void MessageCleaner::Commit(Plan* plan, std::span<const Message> table_r,
                             BucketArena* arena,
                             std::vector<MessageList>* lists) {
   Outcome& outcome = plan->outcome;
-  std::unordered_map<CellId, std::vector<Message>> per_cell;
-  for (const Message& m : table_r) {
+  const std::vector<LockedCell>& locked = plan->locked;
+  // The locked cells sorted by id, to find each survivor's slot in
+  // `locked`.
+  std::vector<std::pair<CellId, uint32_t>> slot_of_cell(locked.size());
+  for (uint32_t i = 0; i < locked.size(); ++i) {
+    slot_of_cell[i] = {locked[i].cell, i};
+  }
+  std::sort(slot_of_cell.begin(), slot_of_cell.end());
+  constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> slots(table_r.size(), kNoSlot);
+  // Counting pass: group R's survivors by locked cell, keeping R order
+  // within a cell. Tombstones have no slot.
+  std::vector<uint32_t> begin(locked.size() + 1, 0);
+  for (size_t r = 0; r < table_r.size(); ++r) {
+    const Message& m = table_r[r];
     GKNN_DCHECK(!IsNullMessage(m));
     if (m.IsTombstone()) continue;  // object moved outside this batch
-    per_cell[m.cell].push_back(m);
+    auto it = std::lower_bound(slot_of_cell.begin(), slot_of_cell.end(),
+                               std::pair<CellId, uint32_t>{m.cell, 0});
+    GKNN_DCHECK(it != slot_of_cell.end() && it->first == m.cell);
+    slots[r] = it->second;
+    ++begin[it->second + 1];
     outcome.latest.push_back(m);
   }
-  for (const LockedCell& lc : plan->locked) {
-    auto it = per_cell.find(lc.cell);
-    (*lists)[lc.cell].ReplaceLockedPrefix(
-        arena, it == per_cell.end() ? std::vector<Message>{} : it->second);
-    for (uint32_t b : lc.shipped_buckets) arena->Free(b);
-    for (uint32_t b : lc.expired_buckets) arena->Free(b);
+  for (size_t i = 0; i < locked.size(); ++i) begin[i + 1] += begin[i];
+  std::vector<Message> grouped(begin.back());
+  {
+    std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+    for (size_t r = 0; r < table_r.size(); ++r) {
+      if (slots[r] != kNoSlot) grouped[next[slots[r]]++] = table_r[r];
+    }
   }
+  // Each cell's compacted prefix goes into its own locked buckets; the
+  // ones left over are gathered at the front of plan->buckets (never past
+  // the cell being rewritten) and freed together.
+  size_t leftover = 0;
+  for (uint32_t i = 0; i < locked.size(); ++i) {
+    const LockedCell& lc = locked[i];
+    const std::span<const uint32_t> unused =
+        (*lists)[lc.cell].ReplaceLockedPrefix(
+            arena,
+            std::span<const Message>(grouped).subspan(
+                begin[i], begin[i + 1] - begin[i]),
+            std::span<const uint32_t>(plan->buckets)
+                .subspan(lc.first_bucket, lc.end_bucket - lc.first_bucket));
+    for (uint32_t b : unused) plan->buckets[leftover++] = b;
+  }
+  arena->FreeAll(std::span(plan->buckets).first(leftover));
 }
 
 void MessageCleaner::Rollback(const Plan& plan, BucketArena* arena,
                               std::vector<MessageList>* lists) {
+  std::vector<uint32_t> unlinked;
   for (const LockedCell& lc : plan.locked) {
-    (*lists)[lc.cell].AbortCleaning(arena);
+    const uint32_t b = (*lists)[lc.cell].AbortCleaning(arena);
+    if (b != kInvalidBucket) unlinked.push_back(b);
   }
+  arena->FreeAll(unlinked);
 }
 
 util::Result<MessageCleaner::Outcome> MessageCleaner::Clean(
@@ -497,7 +611,7 @@ util::Result<MessageCleaner::Outcome> MessageCleaner::Clean(
   // (the double-checked skip) and does no duplicate work.
   const auto stripe_locks = LockCellStripes(cells);
   Plan plan = Preprocess(cells, t_now, arena, lists);
-  if (plan.host_buckets.empty()) {
+  if (plan.staged.empty()) {
     // Nothing to ship (only expired buckets, compacted serves, or empty
     // lists): commit clears the locked prefixes without device work.
     Commit(&plan, {}, arena, lists);

@@ -129,45 +129,104 @@ class MessageCleaner {
                                  BucketArena* arena,
                                  std::vector<MessageList>* lists);
 
+  /// True when table T of device `device_index` holds only null entries,
+  /// the state every committed batch leaves it in. Reads device memory
+  /// directly: call it only while no batch runs (tests).
+  bool TableTIsNull(uint32_t device_index = 0) const;
+
  private:
-  /// One locked cell of an in-flight cleaning batch. Expired buckets are
-  /// only *recorded* during preprocessing and freed at commit: BucketArena
-  /// recycles freed ids, so freeing one mid-batch would let a later cell's
-  /// lock bucket clobber a chain the rollback still needs intact.
+  /// One locked cell of an in-flight cleaning batch: its locked buckets
+  /// are Plan::buckets[first_bucket, end_bucket). Expired buckets are only
+  /// *recorded* during preprocessing and reused or freed at commit:
+  /// BucketArena recycles freed ids, so freeing one mid-batch would let a
+  /// later batch's lock bucket clobber a chain the rollback still needs
+  /// intact.
   struct LockedCell {
     CellId cell;
-    std::vector<uint32_t> shipped_buckets;  // live buckets sent to the GPU
-    std::vector<uint32_t> expired_buckets;  // stale buckets, freed on commit
+    uint32_t first_bucket;
+    uint32_t end_bucket;
   };
 
   /// The host-side state of a cleaning batch between its phases.
   struct Plan {
     std::vector<LockedCell> locked;
-    /// Copies of every shipped bucket's messages, cell id attached — the
-    /// flattened L.A. The device phase reads these copies, so a mid-phase
-    /// failure cannot have corrupted the lists.
-    std::vector<std::vector<Message>> host_buckets;
+    /// Every locked bucket, shipped or expired, grouped by cell in chain
+    /// order. Commit builds each cell's compacted prefix in its own
+    /// buckets and frees the rest.
+    std::vector<uint32_t> buckets;
+    /// Copies of every shipped bucket's messages, cell id attached, back to
+    /// back — the flattened L.A. Shipped bucket b holds
+    /// staged[staged_offsets[b], staged_offsets[b + 1]). The device phase
+    /// reads these copies, so a mid-phase failure cannot have corrupted
+    /// the lists.
+    std::vector<Message> staged;
+    std::vector<uint32_t> staged_offsets{0};
     Outcome outcome;  // counters + compacted-fast-path results
+
+    uint32_t num_shipped() const {
+      return static_cast<uint32_t>(staged_offsets.size() - 1);
+    }
+    uint32_t bucket_size(uint32_t b) const {
+      return staged_offsets[b + 1] - staged_offsets[b];
+    }
   };
 
   /// Phase 1 (§IV-B1): lock lists, classify buckets, serve compacted
   /// cells from the host. Mutates lists only via LockForCleaning, which
-  /// AbortCleaning reverts exactly.
+  /// AbortCleaning reverts exactly; all lock buckets come from one
+  /// BucketArena::AllocMany.
   Plan Preprocess(std::span<const CellId> cells, double t_now,
                   BucketArena* arena, std::vector<MessageList>* lists);
 
-  /// One device's staging state: the persistent buffers (L.A, T, R) plus
-  /// the mutex serializing that device's compaction phase. Batches placed
-  /// on different contexts never share device memory, so they overlap.
+  /// Dense index over the objects of a batch, in first-appearance order:
+  /// an open-addressing table whose slots carry the epoch of the batch
+  /// that filled them, so a new batch starts with one increment instead
+  /// of a clear, and a reused table allocates only when it grows.
+  class ObjectIndex {
+   public:
+    /// Starts a batch that inserts at most `max_objects` distinct objects.
+    void Reset(size_t max_objects);
+    /// Dense index of `object`, assigning the next one if it is new.
+    uint32_t Insert(ObjectId object);
+    /// Dense index of an object inserted in this batch.
+    uint32_t Find(ObjectId object) const;
+    uint32_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      ObjectId object = kInvalidObject;
+      uint32_t index = 0;
+      uint32_t epoch = 0;
+    };
+    size_t Home(ObjectId object) const;
+
+    std::vector<Slot> slots_;  // storage; grows, never shrinks
+    size_t mask_ = 0;          // this batch's probed slots - 1 (a power of 2)
+    uint32_t shift_ = 63;      // 64 - log2(mask_ + 1)
+    uint32_t epoch_ = 0;
+    uint32_t size_ = 0;
+  };
+
+  /// One device's staging state: the persistent buffers (L.A, T, R), the
+  /// object index, and the mutex serializing that device's compaction
+  /// phase. Batches placed on different contexts never share device
+  /// memory, so they overlap.
   struct DeviceCtx {
     explicit DeviceCtx(gpusim::Device* d) : device(d) {}
     gpusim::Device* device;
-    /// Serializes this device's phase: the staging buffers below are
-    /// reused across batches and must not see two batches at once.
+    /// Serializes this device's phase: the staging state below is reused
+    /// across batches and must not see two batches at once.
     util::lockdep::Mutex device_mu{util::lockdep::kCleanerDeviceClass};
     gpusim::DeviceBuffer<Message> device_messages;  // L.A, delta_b-strided
-    gpusim::DeviceBuffer<Message> table_t;          // intermediate results
-    gpusim::DeviceBuffer<Message> table_r;          // final results
+    /// Intermediate results. GPU_Collect nulls every entry it reads, so T
+    /// is all-null between batches and needs no per-batch clear.
+    gpusim::DeviceBuffer<Message> table_t;
+    gpusim::DeviceBuffer<Message> table_r;  // final results
+    /// T may hold non-null entries: it was just allocated, or a batch
+    /// failed between its first write to T and GPU_Collect. The next batch
+    /// runs GPU_Memset_T over all of T first.
+    bool table_t_dirty = true;
+    ObjectIndex object_index;
   };
 
   /// Phase 2, GPU (§IV-C): upload + GPU_X_Shuffle + GPU_Collect on
@@ -181,12 +240,14 @@ class MessageCleaner {
   /// (newest seq per object), no device involved.
   std::vector<Message> CompactOnHost(const Plan& plan) const;
 
-  /// Phase 3: rewrite the locked prefixes from R, free shipped + expired
-  /// buckets, fill outcome.latest. Only host data structures; cannot fail.
+  /// Phase 3: rewrite the locked prefixes from R in the cells' own locked
+  /// buckets, free the buckets left over (one BucketArena::FreeAll), fill
+  /// outcome.latest. Only host data structures; cannot fail.
   void Commit(Plan* plan, std::span<const Message> table_r,
               BucketArena* arena, std::vector<MessageList>* lists);
 
-  /// Abort arm: undo every LockForCleaning; frees nothing else.
+  /// Abort arm: undo every LockForCleaning and free the lock buckets it
+  /// unlinked (one BucketArena::FreeAll); frees nothing else.
   void Rollback(const Plan& plan, BucketArena* arena,
                 std::vector<MessageList>* lists);
 
@@ -202,7 +263,8 @@ class MessageCleaner {
   void RecordOutcome(const Outcome& outcome, bool on_device);
 
   /// Locks the clean stripes covering `cells` as one ranked multi-lock in
-  /// ascending stripe order (released when the MultiLock is destroyed).
+  /// ascending stripe order (released when the MultiLock is destroyed);
+  /// the stripe set is a bit mask, so no sort is needed.
   /// Lockdep asserts the ascending order on every acquisition
   /// (docs/LOCKDEP.md).
   util::lockdep::MultiLock LockCellStripes(std::span<const CellId> cells);
@@ -222,6 +284,7 @@ class MessageCleaner {
   /// at most 64 locks held at once by one thread, so the stripe count
   /// stays well below that.
   static constexpr size_t kCleanStripes = 32;
+  static_assert(kCleanStripes <= 32, "stripe sets are 32-bit masks");
   mutable util::lockdep::StripedMutexes<kCleanStripes> clean_stripes_{
       util::lockdep::kCleanerStripeClass};
 

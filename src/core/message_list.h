@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -31,9 +32,10 @@ struct Bucket {
 /// steady-state update ingestion performs no heap allocation, and so the
 /// index can report its message-list memory exactly (Fig. 6).
 ///
-/// Thread-safety: Alloc/Free are internally synchronized so concurrent
-/// cleaning passes over disjoint cells (docs/CONCURRENCY.md) can allocate
-/// simultaneously. Storage is a chain of geometrically growing chunks
+/// Thread-safety: Alloc/AllocMany/FreeAll are internally synchronized so
+/// concurrent cleaning passes over disjoint cells (docs/CONCURRENCY.md)
+/// can allocate simultaneously; each call takes the pool lock once.
+/// Storage is a chain of geometrically growing chunks
 /// behind release-published atomic pointers: growth never relocates
 /// existing buckets, and `bucket(id)` is a wait-free index (bit math plus
 /// one acquire load) so the hot cleaning loops never touch the pool lock.
@@ -63,12 +65,22 @@ class BucketArena {
   /// cached messages, O(f_Delta * |O|), not reserved slots).
   uint32_t Alloc() {
     uint32_t id;
+    AllocMany({&id, 1});
+    return id;
+  }
+
+  /// Fills `ids` with empty buckets under one acquisition of the pool lock
+  /// (a cleaning batch takes all its lock buckets in one call). Recycles
+  /// exactly like that many Alloc calls in a row.
+  void AllocMany(std::span<uint32_t> ids) {
     {
       util::lockdep::MutexLock lock(mu_);
-      if (!free_list_.empty()) {
-        id = free_list_.back();
-        free_list_.pop_back();
-      } else {
+      for (uint32_t& id : ids) {
+        if (!free_list_.empty()) {
+          id = free_list_.back();
+          free_list_.pop_back();
+          continue;
+        }
         id = num_buckets_;
         const uint32_t chunk = ChunkOf(id);
         if (chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
@@ -78,18 +90,25 @@ class BucketArena {
         ++num_buckets_;
       }
     }
-    // The slot is now exclusively ours and chunks never move, so the
+    // The slots are now exclusively ours and chunks never move, so the
     // reset needs no lock.
+    for (uint32_t id : ids) Reset(id);
+  }
+
+  /// Returns `ids` to the pool under one acquisition of the pool lock.
+  void FreeAll(std::span<const uint32_t> ids) {
+    if (ids.empty()) return;
+    util::lockdep::MutexLock lock(mu_);
+    free_list_.insert(free_list_.end(), ids.begin(), ids.end());
+  }
+
+  /// Empties a bucket the caller owns (a fresh one, or one it is about to
+  /// reuse), keeping its message storage.
+  void Reset(uint32_t id) {
     Bucket& b = bucket(id);
     b.messages.clear();
     b.latest_time = 0;
     b.next = kInvalidBucket;
-    return id;
-  }
-
-  void Free(uint32_t id) {
-    util::lockdep::MutexLock lock(mu_);
-    free_list_.push_back(id);
   }
 
   /// Stable reference to a bucket, wait-free: any id obtained from Alloc
@@ -149,8 +168,9 @@ class BucketArena {
 
   uint32_t delta_b_;
   /// core.arena in the lock order: taken under the clean stripe locks
-  /// (bucket recycling during commit) and under the server's exclusive
-  /// drain (appends); never held across another acquisition.
+  /// (once per batch to allocate its lock buckets, once to free what
+  /// commit did not reuse) and under the server's exclusive drain
+  /// (appends); never held across another acquisition.
   mutable util::lockdep::Mutex mu_{util::lockdep::kCoreArenaClass};
   uint32_t num_buckets_ = 0;
   std::array<std::atomic<Bucket*>, kNumChunks> chunks_ = {};
@@ -203,18 +223,13 @@ class MessageList {
     compacted_ = false;
   }
 
-  /// Begins a cleaning pass (paper §IV-B1): appends a fresh empty bucket,
-  /// points p_l at it, and returns the ids of the now-locked buckets
-  /// (everything before p_l) in chronological order. The caller filters
-  /// expired buckets and ships the rest to the GPU. Must not be called on
-  /// a list that is already locked.
-  std::vector<uint32_t> LockForCleaning(BucketArena* arena) {
+  /// Begins a cleaning pass (paper §IV-B1): links `fresh`, an empty
+  /// bucket the caller allocated, at the tail and points p_l at it. The
+  /// locked buckets are the chain from head() up to lock_boundary(), in
+  /// chronological order; the caller filters expired buckets and ships the
+  /// rest to the GPU. Must not be called on a list that is already locked.
+  void LockForCleaning(BucketArena* arena, uint32_t fresh) {
     GKNN_DCHECK(!locked());
-    const uint32_t fresh = arena->Alloc();
-    std::vector<uint32_t> locked_buckets;
-    for (uint32_t b = head_; b != kInvalidBucket; b = arena->bucket(b).next) {
-      locked_buckets.push_back(b);
-    }
     if (tail_ == kInvalidBucket) {
       head_ = tail_ = fresh;
     } else {
@@ -222,24 +237,24 @@ class MessageList {
       tail_ = fresh;
     }
     lock_ = fresh;
-    return locked_buckets;
   }
 
   /// Aborts a cleaning pass begun by LockForCleaning, restoring the list
-  /// to its pre-lock shape: when the fresh bucket appended by
+  /// to its pre-lock shape: when the fresh bucket linked by
   /// LockForCleaning is still empty and still the tail (nothing arrived
-  /// while the aborted cleaning ran), it is unlinked and returned to the
-  /// arena; otherwise the appended messages stay and only the lock marker
-  /// is dropped. Either way no message is lost and the previously locked
-  /// buckets remain chained exactly as they were — the rollback arm of the
-  /// cleaner's transactional guarantee (docs/ROBUSTNESS.md).
-  void AbortCleaning(BucketArena* arena) {
+  /// while the aborted cleaning ran), it is unlinked and returned for the
+  /// caller to free; otherwise the appended messages stay, only the lock
+  /// marker is dropped, and kInvalidBucket is returned. Either way no
+  /// message is lost and the previously locked buckets remain chained
+  /// exactly as they were — the rollback arm of the cleaner's
+  /// transactional guarantee (docs/ROBUSTNESS.md).
+  uint32_t AbortCleaning(BucketArena* arena) {
     GKNN_DCHECK(locked());
     const uint32_t lock_bucket = lock_;
     lock_ = kInvalidBucket;
     if (!arena->bucket(lock_bucket).messages.empty() ||
         tail_ != lock_bucket) {
-      return;  // messages arrived during cleaning: keep the bucket
+      return kInvalidBucket;  // messages arrived during cleaning: keep it
     }
     if (head_ == lock_bucket) {
       head_ = tail_ = kInvalidBucket;
@@ -255,55 +270,59 @@ class MessageList {
       arena->bucket(prev).next = kInvalidBucket;
       tail_ = prev;
     }
-    arena->Free(lock_bucket);
+    return lock_bucket;
   }
 
   /// Completes a cleaning pass: the locked prefix is replaced by
   /// `compacted` (the latest message of every object still in this cell,
-  /// from the result table R), and the buckets appended during cleaning
-  /// are preserved after it. The previously locked buckets are returned to
-  /// the arena by the caller (it may have dropped some as expired already).
-  void ReplaceLockedPrefix(BucketArena* arena,
-                           const std::vector<Message>& compacted) {
+  /// from the result table R, kept in order), and the buckets appended
+  /// during cleaning are preserved after it. The compacted prefix is built
+  /// in `spares`, buckets the caller owns and no list references once
+  /// this call returns (the cleaner passes the list's own locked buckets,
+  /// which always suffice: R holds at most one message per shipped
+  /// message). Returns the spares left unused, for the caller to free.
+  std::span<const uint32_t> ReplaceLockedPrefix(
+      BucketArena* arena, std::span<const Message> compacted,
+      std::span<const uint32_t> spares) {
     GKNN_DCHECK(locked());
     // Messages in the suffix (from p_l onward) stay; count them.
     uint32_t suffix_messages = 0;
     for (uint32_t b = lock_; b != kInvalidBucket; b = arena->bucket(b).next) {
       suffix_messages += static_cast<uint32_t>(arena->bucket(b).messages.size());
     }
-    // Build the compacted prefix.
-    uint32_t new_head = kInvalidBucket;
-    uint32_t new_tail = kInvalidBucket;
-    for (const Message& m : compacted) {
-      if (new_tail == kInvalidBucket ||
-          arena->bucket(new_tail).messages.size() >= arena->delta_b()) {
-        const uint32_t fresh = arena->Alloc();
-        if (new_tail == kInvalidBucket) {
-          new_head = new_tail = fresh;
-        } else {
-          arena->bucket(new_tail).next = fresh;
-          new_tail = fresh;
-        }
-      }
-      Bucket& b = arena->bucket(new_tail);
-      b.messages.push_back(m);
+    const size_t delta_b = arena->delta_b();
+    const size_t used = (compacted.size() + delta_b - 1) / delta_b;
+    GKNN_CHECK(used <= spares.size())
+        << compacted.size() << " compacted messages need " << used
+        << " buckets, only " << spares.size() << " spare";
+    // Build the compacted prefix back to front, so each bucket links to
+    // the one after it; the last links to p_l.
+    uint32_t next = lock_;
+    for (size_t i = used; i-- > 0;) {
+      const uint32_t id = spares[i];
+      arena->Reset(id);
+      Bucket& b = arena->bucket(id);
+      const auto first = compacted.begin() + i * delta_b;
+      const auto last = compacted.begin() + std::min(compacted.size(),
+                                                     (i + 1) * delta_b);
+      b.messages.assign(first, last);
       // Compacted messages are grouped by object, not time-ordered, so the
       // bucket's freshness stamp must be the max (expiry only drops a
       // bucket when *every* message in it is stale).
-      b.latest_time = std::max(b.latest_time, m.time);
+      for (auto it = first; it != last; ++it) {
+        b.latest_time = std::max(b.latest_time, it->time);
+      }
+      b.next = next;
+      next = id;
     }
-    if (new_head == kInvalidBucket) {
-      head_ = lock_;
-    } else {
-      arena->bucket(new_tail).next = lock_;
-      head_ = new_head;
-    }
+    head_ = next;
     // tail_ unchanged (it is at or after lock_).
     num_messages_ = static_cast<uint32_t>(compacted.size()) + suffix_messages;
     lock_ = kInvalidBucket;
     // The list is in canonical compacted form unless messages arrived
     // while the cleaning was in flight.
     compacted_ = suffix_messages == 0;
+    return spares.subspan(used);
   }
 
  private:

@@ -53,6 +53,10 @@ struct Held {
 thread_local Held t_held[kMaxHeld];
 thread_local int t_num_held = 0;
 
+/// Acquisitions made by this thread, in total and per class id.
+thread_local uint64_t t_acquisitions = 0;
+thread_local uint64_t t_class_acquisitions[kMaxClasses] = {};
+
 std::atomic<uint64_t> g_violations{0};
 std::atomic<ViolationHandler> g_handler{nullptr};
 
@@ -163,9 +167,18 @@ void ResetViolationsForTesting() {
   last.message.clear();
 }
 
+uint64_t ThreadAcquisitions() { return t_acquisitions; }
+
+uint64_t ThreadAcquisitions(const LockClass& cls) {
+  const int id = cls.id();
+  return id >= 0 ? t_class_acquisitions[id] : 0;
+}
+
 namespace internal {
 
 void OnAcquire(const LockClass& cls, uint32_t key, const void* addr) {
+  ++t_acquisitions;
+  if (const int id = cls.id(); id >= 0) ++t_class_acquisitions[id];
   if (t_num_held > 0) {
     // One pass over the held stack: the deepest rank, whether a leaf is
     // held, and the deepest same-class instance key.
@@ -186,18 +199,22 @@ void OnAcquire(const LockClass& cls, uint32_t key, const void* addr) {
         if (h.key >= max_same_key) max_same_key = h.key;
       }
     }
-    std::ostringstream oss;
+    // The report text is built only on a violation branch: the checks
+    // above run on every nested acquisition and must stay cheap.
     if (held_leaf != nullptr) {
+      std::ostringstream oss;
       oss << "acquired " << cls.name() << " (rank " << cls.rank()
           << ") while holding leaf class " << held_leaf->name()
           << " — leaves must never be held across another acquisition";
       Report(Violation::Kind::kLeafHeld, oss.str());
     } else if (same_class) {
       if (!cls.nestable()) {
+        std::ostringstream oss;
         oss << "re-entered non-nestable class " << cls.name()
             << " (already held by this thread)";
         Report(Violation::Kind::kSameClass, oss.str());
       } else if (key <= max_same_key) {
+        std::ostringstream oss;
         oss << "nestable class " << cls.name() << ": acquired key " << key
             << " while already holding key " << max_same_key
             << " — instance keys must be strictly ascending"
@@ -205,6 +222,7 @@ void OnAcquire(const LockClass& cls, uint32_t key, const void* addr) {
         Report(Violation::Kind::kSameClass, oss.str());
       }
     } else if (cls.rank() < max_rank) {
+      std::ostringstream oss;
       oss << "rank inversion: acquired " << cls.name() << " (rank "
           << cls.rank() << ") while holding " << deepest->name() << " (rank "
           << max_rank << ")";

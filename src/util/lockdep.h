@@ -138,6 +138,14 @@ ViolationHandler SetViolationHandler(ViolationHandler handler);
 /// program). Test-only.
 void ResetViolationsForTesting();
 
+/// Tracked acquisitions (lock, lock_shared, successful try_lock) the
+/// calling thread has made since it started: in total, or of one class.
+/// Tests difference two readings to pin how many locks a code path takes
+/// (test_message_cleaner's lock-traffic test). With lockdep compiled out
+/// nothing is counted and both read 0.
+uint64_t ThreadAcquisitions();
+uint64_t ThreadAcquisitions(const LockClass& cls);
+
 namespace internal {
 /// Pre-acquisition hook: runs the rank / leaf / nestable-key checks
 /// against the calling thread's held-lock stack, records order-graph
@@ -157,6 +165,8 @@ inline ViolationHandler SetViolationHandler(ViolationHandler) {
   return nullptr;
 }
 inline void ResetViolationsForTesting() {}
+inline uint64_t ThreadAcquisitions() { return 0; }
+inline uint64_t ThreadAcquisitions(const LockClass&) { return 0; }
 #endif
 
 template <size_t N>

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mu.h"
+#include "util/lockdep.h"
 #include "util/rng.h"
 
 namespace gknn::core {
@@ -159,10 +163,32 @@ TEST(MessageCleanerTest, OutOfOrderAppendsDoNotMisExpireFreshMessages) {
 TEST(MessageCleanerTest, LockedListIsSkipped) {
   CleanerFixture fx(1, SmallOptions());
   fx.Ingest(1, 0, 1.0);
-  fx.lists[0].LockForCleaning(&fx.arena);  // simulate concurrent cleaning
+  fx.lists[0].LockForCleaning(&fx.arena, fx.arena.Alloc());  // in flight
   auto outcome = fx.CleanAll(1.0);
   EXPECT_EQ(outcome.cells_cleaned, 0u);
   EXPECT_TRUE(outcome.latest.empty());
+}
+
+TEST(MessageCleanerTest, RepeatedCellIsCleanedOnce) {
+  CleanerFixture fx(2, SmallOptions());
+  for (int i = 0; i < 6; ++i) fx.Ingest(i % 2, 0, 1.0);
+  fx.Ingest(7, 1, 1.0);
+  const std::vector<CellId> cells = {0, 1, 0};
+  auto outcome = fx.cleaner.Clean(cells, 1.0, &fx.arena, &fx.lists);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->cells_cleaned, 2u);  // the repeat is skipped
+  EXPECT_EQ(outcome->latest.size(), 3u);
+  EXPECT_EQ(fx.lists[0].num_messages(), 2u);
+  EXPECT_TRUE(fx.lists[0].compacted());
+  // Every bucket is in a list or back in the pool: none leaked.
+  uint32_t in_lists = 0;
+  for (const MessageList& list : fx.lists) {
+    for (uint32_t b = list.head(); b != kInvalidBucket;
+         b = fx.arena.bucket(b).next) {
+      ++in_lists;
+    }
+  }
+  EXPECT_EQ(in_lists + fx.arena.num_free(), fx.arena.num_buckets());
 }
 
 TEST(MessageCleanerTest, EmptyCellsProduceNothing) {
@@ -206,6 +232,184 @@ TEST(MessageCleanerTest, RepeatedCleaningIsIdempotent) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(key(a[i]), key(b[i]));
   }
+}
+
+// Every message of a list, in chain order.
+std::vector<Message> ListMessages(const CleanerFixture& fx, CellId cell) {
+  std::vector<Message> out;
+  for (uint32_t b = fx.lists[cell].head(); b != kInvalidBucket;
+       b = fx.arena.bucket(b).next) {
+    const Bucket& bucket = fx.arena.bucket(b);
+    out.insert(out.end(), bucket.messages.begin(), bucket.messages.end());
+  }
+  return out;
+}
+
+bool SameMessages(const std::vector<Message>& a,
+                  const std::vector<Message>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Message& x, const Message& y) {
+                      return x.object == y.object && x.seq == y.seq &&
+                             x.edge == y.edge && x.offset == y.offset &&
+                             x.time == y.time && x.cell == y.cell;
+                    });
+}
+
+// A seeded multi-batch trace on twin indexes: one cleaned by Clean on the
+// device (under the parameter's fault schedule), one by CleanCpu. After
+// every batch both hold the same messages in every list, in the same
+// order, and report the same survivors; a batch the device fails rolls
+// its lists back exactly and is retried; and a committed batch leaves
+// table T all-null for the next one.
+class CleanTwinTraceTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CleanTwinTraceTest, DeviceCleanMatchesHostCleanBatchForBatch) {
+  MessageCleaner::Options options = SmallOptions(/*delta_b=*/4, /*eta=*/3);
+  options.t_delta = 6.0;  // objects that pause long enough expire
+  constexpr uint32_t kCells = 24;
+  constexpr uint32_t kObjects = 80;
+  CleanerFixture gpu(kCells, options);
+  CleanerFixture cpu(kCells, options);
+  ASSERT_TRUE(gpu.device.SetFaultSpec(GetParam()).ok());
+
+  util::Rng rng(20260);
+  std::map<ObjectId, CellId> where;
+  uint32_t rollbacks = 0;
+  uint32_t device_commits = 0;
+  uint64_t served_compacted = 0;
+  uint64_t expired = 0;
+  for (int batch = 0; batch < 80; ++batch) {
+    const double t_now = 1.0 + batch;
+    const uint32_t updates = rng.NextBounded(60);
+    for (uint32_t u = 0; u < updates; ++u) {
+      // A skewed draw: low ids report often, high ids rarely.
+      const ObjectId o = static_cast<ObjectId>(
+          rng.NextBounded(1 + rng.NextBounded(kObjects)));
+      const CellId cell = static_cast<CellId>(rng.NextBounded(kCells));
+      auto it = where.find(o);
+      if (it != where.end() && it->second != cell) {
+        gpu.IngestTombstone(o, it->second, t_now);
+        cpu.IngestTombstone(o, it->second, t_now);
+      }
+      gpu.Ingest(o, cell, t_now);
+      cpu.Ingest(o, cell, t_now);
+      where[o] = cell;
+    }
+    // A random subset of cells, in random order.
+    std::vector<CellId> cells = gpu.cells;
+    for (size_t i = cells.size(); i > 1; --i) {
+      std::swap(cells[i - 1], cells[rng.NextBounded(static_cast<uint32_t>(i))]);
+    }
+    cells.resize(1 + rng.NextBounded(kCells));
+
+    std::vector<std::vector<Message>> before(kCells);
+    for (CellId c = 0; c < kCells; ++c) before[c] = ListMessages(gpu, c);
+    util::Result<MessageCleaner::Outcome> on_device =
+        gpu.cleaner.Clean(cells, t_now, &gpu.arena, &gpu.lists);
+    const bool committed = on_device.ok();
+    if (!committed) {
+      // Rolled back exactly; the batch then runs on the host, as
+      // GGridIndex::CleanCells falls back after a device error.
+      ++rollbacks;
+      for (CellId c = 0; c < kCells; ++c) {
+        ASSERT_FALSE(gpu.lists[c].locked());
+        ASSERT_TRUE(SameMessages(ListMessages(gpu, c), before[c]))
+            << "batch " << batch << " cell " << c << " not rolled back";
+      }
+      on_device = gpu.cleaner.CleanCpu(cells, t_now, &gpu.arena, &gpu.lists);
+    }
+    ASSERT_TRUE(on_device.ok()) << on_device.status().ToString();
+    util::Result<MessageCleaner::Outcome> on_host =
+        cpu.cleaner.CleanCpu(cells, t_now, &cpu.arena, &cpu.lists);
+    ASSERT_TRUE(on_host.ok());
+
+    EXPECT_TRUE(SameMessages(on_device->latest, on_host->latest))
+        << "batch " << batch;
+    EXPECT_EQ(on_device->cells_cleaned, on_host->cells_cleaned);
+    EXPECT_EQ(on_device->cells_served_compacted,
+              on_host->cells_served_compacted);
+    EXPECT_EQ(on_device->buckets_shipped, on_host->buckets_shipped);
+    EXPECT_EQ(on_device->buckets_expired, on_host->buckets_expired);
+    EXPECT_EQ(on_device->messages_shipped, on_host->messages_shipped);
+    for (CellId c = 0; c < kCells; ++c) {
+      ASSERT_TRUE(SameMessages(ListMessages(gpu, c), ListMessages(cpu, c)))
+          << "batch " << batch << " cell " << c;
+      EXPECT_EQ(gpu.lists[c].num_messages(), cpu.lists[c].num_messages());
+      EXPECT_EQ(gpu.lists[c].compacted(), cpu.lists[c].compacted());
+    }
+    if (committed && on_device->buckets_shipped > 0) {
+      ++device_commits;
+      EXPECT_TRUE(gpu.cleaner.TableTIsNull()) << "batch " << batch;
+    }
+    served_compacted += on_device->cells_served_compacted;
+    expired += on_device->buckets_expired;
+  }
+  // The trace exercises the fast path and expiry, and a fault schedule
+  // really fails batches. Under kernel:every=3 no device batch commits: after the first
+  // failure each batch needs GPU_Memset_T, GPU_X_Shuffle and GPU_Collect,
+  // one launch per period.
+  EXPECT_GT(served_compacted, 0u);
+  EXPECT_GT(expired, 0u);
+  const std::string_view spec(GetParam());
+  EXPECT_EQ(rollbacks > 0, !spec.empty());
+  EXPECT_EQ(device_commits > 0, !spec.starts_with("kernel"));
+}
+
+INSTANTIATE_TEST_SUITE_P(FaultSchedules, CleanTwinTraceTest,
+                         ::testing::Values("", "kernel:every=3",
+                                           "transfer:every=4"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           const std::string_view spec(info.param);
+                           if (spec.empty()) return std::string("healthy");
+                           return std::string(spec.substr(0, spec.find(':')));
+                         });
+
+// Lock traffic: a batch takes its stripes plus a fixed number of other
+// locks, whatever its size — the arena lock at most twice (one AllocMany
+// for the lock buckets, one FreeAll for the buckets commit did not reuse).
+TEST(MessageCleanerLockTrafficTest, NonStripeAcquisitionsDoNotGrowWithCells) {
+  if (!util::lockdep::kEnabled) GTEST_SKIP() << "needs GKNN_LOCKDEP";
+  MessageCleaner::Options options = SmallOptions(/*delta_b=*/4, /*eta=*/3);
+  options.transfer_chunk_buckets = 256;  // every batch is one chunk
+  CleanerFixture fx(64, options);
+  struct Traffic {
+    uint64_t non_stripe;
+    uint64_t arena;
+  };
+  auto clean_dirty = [&](uint32_t n) {
+    for (CellId c = 0; c < n; ++c) {
+      fx.Ingest(c, c, 1.0);
+      fx.Ingest(c, c, 1.0);
+    }
+    namespace lockdep = util::lockdep;
+    const uint64_t total = lockdep::ThreadAcquisitions();
+    const uint64_t stripes =
+        lockdep::ThreadAcquisitions(lockdep::kCleanerStripeClass);
+    const uint64_t arena =
+        lockdep::ThreadAcquisitions(lockdep::kCoreArenaClass);
+    auto outcome = fx.cleaner.Clean(std::span(fx.cells).first(n), 1.0,
+                                    &fx.arena, &fx.lists);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_EQ(outcome->cells_cleaned, n);
+    EXPECT_GE(outcome->buckets_shipped, n);
+    const uint64_t stripe_delta =
+        lockdep::ThreadAcquisitions(lockdep::kCleanerStripeClass) - stripes;
+    EXPECT_EQ(stripe_delta, std::min<uint64_t>(n, 32));
+    return Traffic{lockdep::ThreadAcquisitions() - total - stripe_delta,
+                   lockdep::ThreadAcquisitions(lockdep::kCoreArenaClass) -
+                       arena};
+  };
+  // Two warm-up batches bring the lists (compacted prefix + lock bucket)
+  // and the device buffers to their steady sizes, so neither measured
+  // batch allocates device memory.
+  clean_dirty(64);
+  clean_dirty(64);
+  const Traffic eight = clean_dirty(8);
+  const Traffic all = clean_dirty(64);
+  EXPECT_GT(eight.non_stripe, 0u);
+  EXPECT_EQ(eight.non_stripe, all.non_stripe);
+  EXPECT_LE(eight.arena, 2u);
+  EXPECT_LE(all.arena, 2u);
 }
 
 // Property: for any random interleaving of updates and cell moves, cleaning
