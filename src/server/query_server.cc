@@ -1,7 +1,6 @@
 #include "server/query_server.h"
 
 #include <algorithm>
-#include <future>
 #include <string_view>
 #include <utility>
 
@@ -9,9 +8,19 @@
 #include "gpusim/fault_injector.h"
 #include "util/backoff.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace gknn::server {
+
+namespace {
+
+/// Brownout routing (docs/ROBUSTNESS.md "Overload control"): a degraded
+/// query whose predicted device time is under kBrownoutCheapGpuSeconds is
+/// dominated by the ~100 µs device round-trip and runs on the host; an
+/// expensive one scales its candidate ring by kBrownoutRhoScale.
+constexpr double kBrownoutCheapGpuSeconds = 100e-6;
+constexpr double kBrownoutRhoScale = 0.5;
+
+}  // namespace
 
 util::Result<std::unique_ptr<QueryServer>> QueryServer::Create(
     const roadnet::Graph* graph, const core::GGridOptions& options,
@@ -100,73 +109,6 @@ util::Status QueryServer::DrainIfPending() {
   return TimedDrainExclusive();
 }
 
-QueryServer::Admission QueryServer::Admit(const util::Deadline& deadline) {
-  Admission out;
-  if (options_.max_inflight == 0) {
-    // Admission control off: no queue, no shedding; keep the inflight
-    // gauge honest anyway.
-    util::lockdep::MutexLock lock(admission_mu_);
-    ++inflight_;
-    ++stats_.admitted_queries;
-    return out;
-  }
-  util::Timer wait_timer;
-  bool waited = false;
-  util::lockdep::UniqueLock lock(admission_mu_);
-  while (inflight_ >= options_.max_inflight) {
-    if (!waited) {
-      if (admission_queued_ >= options_.max_queued) {
-        // Reject-newest: the arrival is shed, everyone already waiting
-        // keeps its place — FIFO fairness for the admitted backlog.
-        out.status = util::Status::ResourceExhausted(
-            "admission queue full (" + std::to_string(admission_queued_) +
-            " waiting, " + std::to_string(inflight_) + " inflight)");
-        return out;
-      }
-      ++admission_queued_;
-      waited = true;
-    }
-    if (deadline.is_infinite()) {
-      admission_cv_.wait(lock);
-    } else {
-      admission_cv_.wait_until(lock, deadline.time_point());
-      if (inflight_ >= options_.max_inflight && deadline.Expired()) {
-        --admission_queued_;
-        out.status = util::Status::DeadlineExceeded(
-            "deadline expired waiting for an execution slot");
-        return out;
-      }
-    }
-  }
-  if (waited) --admission_queued_;
-  ++inflight_;
-  ++stats_.admitted_queries;
-  // Brownout pressure signal: this query had to queue, or admission is
-  // past half capacity — degrade before the queue fills and sheds.
-  out.brownout =
-      options_.brownout && (waited || inflight_ * 2 > options_.max_inflight);
-  out.waited_seconds = waited ? wait_timer.ElapsedSeconds() : 0.0;
-  return out;
-}
-
-void QueryServer::ReleaseSlot() {
-  {
-    util::lockdep::MutexLock lock(admission_mu_);
-    --inflight_;
-  }
-  admission_cv_.notify_one();
-}
-
-uint32_t QueryServer::inflight_queries() const {
-  util::lockdep::MutexLock lock(admission_mu_);
-  return inflight_;
-}
-
-uint32_t QueryServer::admission_queue_depth() const {
-  util::lockdep::MutexLock lock(admission_mu_);
-  return admission_queued_;
-}
-
 double QueryServer::PredictQueryGpuSeconds(uint32_t k) const {
   const core::GGridOptions& opts = index_->options();
   const roadnet::Graph& graph = index_->grid().graph();
@@ -188,37 +130,25 @@ template <typename IndexFn>
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteAdmitted(
     const util::Deadline& deadline, double predicted_gpu_seconds,
     IndexFn index_fn, bool external_brownout) {
-  Admission admission = Admit(deadline);
-  if (!admission.status.ok()) {
-    if (admission.status.IsDeadlineExceeded()) {
-      ++stats_.expired_queries;
-    } else {
-      ++stats_.shed_queries;
-    }
-    return admission.status;
-  }
-  // Slot held from here to the end of the query, error paths included.
-  struct SlotGuard {
-    QueryServer* server;
-    ~SlotGuard() { server->ReleaseSlot(); }
-  } slot_guard{this};
+  // The ticket holds the slot to the end of the query, error paths
+  // included.
+  const AdmissionTicket ticket = admission_.Admit(deadline, external_brownout);
+  if (!ticket.ok()) return ticket.status();
   if (admission_wait_hist_ != nullptr) {
-    admission_wait_hist_->Observe(admission.waited_seconds);
+    admission_wait_hist_->Observe(ticket.waited_seconds());
   }
 
   core::QueryControl control;
   control.deadline = deadline;
   bool force_cpu = false;
-  if (admission.brownout || external_brownout) {
-    ++stats_.brownout_queries;
+  if (ticket.brownout()) {
     if (predicted_gpu_seconds > 0 &&
-        predicted_gpu_seconds < options_.brownout_cheap_gpu_seconds) {
-      // Cheap query: the ~100 µs device round-trip dominates it; under
-      // pressure answer from the host and leave the device to the
-      // expensive queries.
+        predicted_gpu_seconds < kBrownoutCheapGpuSeconds) {
+      // Cheap query: under pressure answer from the host and leave the
+      // device to the expensive queries.
       force_cpu = true;
     } else {
-      control.rho_scale = options_.brownout_rho_scale;
+      control.rho_scale = kBrownoutRhoScale;
     }
   }
 
@@ -226,9 +156,7 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteAdmitted(
     if (!deadline.is_infinite() && deadline_slack_hist_ != nullptr) {
       deadline_slack_hist_->Observe(std::max(0.0, deadline.RemainingSeconds()));
     }
-    if (!result.ok() && result.status().IsDeadlineExceeded()) {
-      ++stats_.expired_queries;
-    }
+    admission_.CountFinished(result.status());
     return result;
   };
 
@@ -342,7 +270,7 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::ExecuteShared(
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryKnn(
     roadnet::EdgePoint location, uint32_t k, double t_now) {
-  return QueryKnnRouted(location, k, t_now, DefaultDeadline(),
+  return QueryKnnRouted(location, k, t_now, admission_.DefaultDeadline(),
                         /*brownout_pressure=*/false);
 }
 
@@ -376,7 +304,8 @@ util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRangeRouted(
 
 util::Result<std::vector<core::KnnResultEntry>> QueryServer::QueryRange(
     roadnet::EdgePoint location, roadnet::Distance radius, double t_now) {
-  return QueryRangeRouted(location, radius, t_now, DefaultDeadline(),
+  return QueryRangeRouted(location, radius, t_now,
+                          admission_.DefaultDeadline(),
                           /*brownout_pressure=*/false);
 }
 
@@ -384,59 +313,25 @@ util::Result<std::vector<std::vector<core::KnnResultEntry>>>
 QueryServer::QueryKnnBatch(std::span<const roadnet::EdgePoint> locations,
                            uint32_t k, double t_now) {
   GKNN_RETURN_NOT_OK(DrainIfPending());
-  const util::Deadline deadline = DefaultDeadline();
+  const util::Deadline deadline = admission_.DefaultDeadline();
   const double predicted =
       options_.brownout ? PredictQueryGpuSeconds(k) : 0.0;
   std::vector<std::vector<core::KnnResultEntry>> results(locations.size());
-  std::vector<util::Status> statuses(locations.size(), util::Status::OK());
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(locations.size());
-  for (size_t i = 0; i < locations.size(); ++i) {
-    util::ThreadPool::Submission submission;
-    submission.deadline = deadline;
-    // Each fan-out task is a full admitted query: admission slot, budget,
-    // brownout — batch queries obey the same overload policy as single
-    // ones.
-    submission.run = [this, &results, &statuses, location = locations[i], k,
-                      t_now, i, deadline, predicted] {
-      auto result = ExecuteAdmitted(
-          deadline, predicted,
-          [&](core::ExecMode mode, core::KnnStats* stats,
-              const core::QueryControl* control) {
-            return index_->QueryKnn(location, k, t_now, stats, mode, control);
-          });
-      if (result.ok()) {
-        results[i] = *std::move(result);
-      } else {
-        statuses[i] = result.status();
-      }
-    };
-    submission.on_expired = [this, &statuses, i] {
-      // The budget died while the task sat in the pool queue; the pool
-      // dropped it before it took any lock.
-      ++stats_.expired_queries;
-      statuses[i] = util::Status::DeadlineExceeded(
-          "query budget exhausted in the batch queue");
-    };
-    std::optional<std::future<void>> task =
-        query_pool_->TrySubmitTask(std::move(submission));
-    if (!task.has_value()) {
-      // Bounded pool queue full (ServerOptions::max_queued): shed this
-      // query, typed, without blocking the submitter.
-      ++stats_.shed_queries;
-      statuses[i] =
-          util::Status::ResourceExhausted("batch query pool queue full");
-      continue;
-    }
-    tasks.push_back(std::move(*task));
-  }
-  // get() (not wait()) so an exception escaping a task — impossible for
-  // the query path itself, which reports through Status — still reaches
-  // the caller instead of being swallowed.
-  for (std::future<void>& task : tasks) task.get();
-  for (util::Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
+  // Each fan-out task is a full admitted query: admission slot, budget,
+  // brownout — batch queries obey the same overload policy as single ones.
+  GKNN_RETURN_NOT_OK(FanOutBatch(
+      *query_pool_, admission_, deadline, locations.size(),
+      [&](size_t i) -> util::Status {
+        GKNN_ASSIGN_OR_RETURN(
+            results[i],
+            ExecuteAdmitted(deadline, predicted,
+                            [&](core::ExecMode mode, core::KnnStats* stats,
+                                const core::QueryControl* control) {
+                              return index_->QueryKnn(locations[i], k, t_now,
+                                                      stats, mode, control);
+                            }));
+        return util::Status::OK();
+      }));
   return results;
 }
 

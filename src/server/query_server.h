@@ -2,7 +2,6 @@
 #define GKNN_SERVER_QUERY_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include "gpusim/device.h"
 #include "obs/metrics.h"
 #include "roadnet/graph.h"
+#include "server/admission.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
 #include "util/result.h"
@@ -59,13 +59,11 @@ struct ServerOptions {
   /// Brownout: under admission pressure (a query had to queue, or more
   /// than half the inflight slots are busy), degrade admitted queries
   /// before shedding arrivals — cheap queries (predicted device time
-  /// under brownout_cheap_gpu_seconds via the §VI cost model) skip the
-  /// GPU round-trip and run kCpuOnly; expensive ones shrink their
-  /// candidate ring by brownout_rho_scale. Answers stay exact either
-  /// way (docs/ROBUSTNESS.md); only latency/throughput trade off.
+  /// under 100 µs via the §VI cost model) skip the GPU round-trip and run
+  /// kCpuOnly; expensive ones halve their candidate ring. Answers stay
+  /// exact either way (docs/ROBUSTNESS.md); only latency/throughput trade
+  /// off.
   bool brownout = false;
-  double brownout_cheap_gpu_seconds = 100e-6;
-  double brownout_rho_scale = 0.5;
 };
 
 /// Degradation counters; snapshot via QueryServer::stats().
@@ -199,10 +197,10 @@ class QueryServer {
   /// Queries currently holding an execution slot. Tracked even with
   /// admission control off (max_inflight == 0) so the gauge is always
   /// meaningful.
-  uint32_t inflight_queries() const;
+  uint32_t inflight_queries() const { return admission_.inflight(); }
 
   /// Arrivals currently waiting for an execution slot.
-  uint32_t admission_queue_depth() const;
+  uint32_t admission_queue_depth() const { return admission_.queued(); }
 
   /// Snapshot of the degradation counters. Lock-free: monitoring threads
   /// polling this never contend with queries for the index lock. See
@@ -218,13 +216,11 @@ class QueryServer {
         stats_.degraded_queries.load(std::memory_order_relaxed);
     out.update_requeues =
         stats_.update_requeues.load(std::memory_order_relaxed);
-    out.admitted_queries =
-        stats_.admitted_queries.load(std::memory_order_relaxed);
-    out.shed_queries = stats_.shed_queries.load(std::memory_order_relaxed);
-    out.expired_queries =
-        stats_.expired_queries.load(std::memory_order_relaxed);
-    out.brownout_queries =
-        stats_.brownout_queries.load(std::memory_order_relaxed);
+    const AdmissionController::Counts admission = admission_.counts();
+    out.admitted_queries = admission.admitted;
+    out.shed_queries = admission.shed;
+    out.expired_queries = admission.expired;
+    out.brownout_queries = admission.brownout;
     // Seqlock read of the breaker triple: retry while a writer is inside
     // the odd window or published a new version between our loads.
     uint64_t seq = breaker_seq_.load(std::memory_order_acquire);
@@ -280,7 +276,9 @@ class QueryServer {
                         ? std::make_unique<util::ThreadPool>(
                               util::ThreadPool::Inline{})
                         : std::make_unique<util::ThreadPool>(
-                              options.query_threads, options.max_queued)) {
+                              options.query_threads, options.max_queued)),
+        admission_(options.max_inflight, options.max_queued,
+                   options.brownout, options.default_deadline_ms) {
     if (obs::kEnabled) {
       // Resolve the hot-path histogram handles once: Observe is
       // atomics-only, so the query path never takes the registry mutex.
@@ -320,30 +318,6 @@ class QueryServer {
       const util::Deadline& deadline = util::Deadline(),
       bool force_cpu = false);
 
-  /// Outcome of one admission decision (docs/ROBUSTNESS.md "Overload
-  /// control").
-  struct Admission {
-    util::Status status = util::Status::OK();  // OK = slot granted
-    bool brownout = false;    // degrade this query (pressure observed)
-    double waited_seconds = 0;  // time spent queued for the slot
-  };
-
-  /// Takes (or waits for) an execution slot. With max_inflight == 0 this
-  /// only bumps the inflight gauge. Returns ResourceExhausted when the
-  /// admission queue is full (reject-newest shedding) and
-  /// DeadlineExceeded when the budget ran out while waiting. A granted
-  /// slot must be returned via ReleaseSlot().
-  Admission Admit(const util::Deadline& deadline);
-  void ReleaseSlot();
-
-  /// The per-query budget from ServerOptions::default_deadline_ms.
-  util::Deadline DefaultDeadline() const {
-    return options_.default_deadline_ms > 0
-               ? util::Deadline::AfterSeconds(options_.default_deadline_ms *
-                                              1e-3)
-               : util::Deadline();
-  }
-
   /// §VI cost-model estimate of one query's device seconds, used by the
   /// brownout policy to route cheap queries to the CPU path.
   double PredictQueryGpuSeconds(uint32_t k) const;
@@ -351,7 +325,7 @@ class QueryServer {
   /// The full admitted single-query path: admission, deadline budget,
   /// brownout degradation, drain-if-pending, then ExecuteShared under the
   /// reader lock. `index_fn(mode, stats, control)` runs one query against
-  /// the index. Centralizes the shed/expired/brownout accounting.
+  /// the index. Every exit reports to admission_'s accounting.
   /// `external_brownout` is pressure observed by a caller above this
   /// server (the ShardRouter's admission gate); it forces the brownout
   /// degradation even when this server's own admission saw none.
@@ -374,7 +348,8 @@ class QueryServer {
     return inboxes_[object % kStripes];
   }
 
-  /// Mirror of ServerStats with atomic members, so queries running
+  /// Mirror of ServerStats (minus the overload counters, which
+  /// admission_ keeps) with atomic members, so queries running
   /// concurrently under the reader lock can bump them and monitoring
   /// threads can read them without any lock. The breaker triple
   /// (breaker_trips / breaker_closes / degraded) is additionally
@@ -388,10 +363,6 @@ class QueryServer {
     std::atomic<uint64_t> breaker_closes{0};
     std::atomic<uint64_t> update_requeues{0};
     std::atomic<bool> degraded{false};
-    std::atomic<uint64_t> admitted_queries{0};
-    std::atomic<uint64_t> shed_queries{0};
-    std::atomic<uint64_t> expired_queries{0};
-    std::atomic<uint64_t> brownout_queries{0};
   };
 
   /// Pushes the degradation counters into the index's registry as gauges
@@ -424,14 +395,9 @@ class QueryServer {
   uint32_t consecutive_query_failures_ = 0;  // guarded by breaker_mu_
   uint64_t degraded_query_count_ = 0;        // guarded by breaker_mu_
 
-  /// Admission bookkeeping (docs/CONCURRENCY.md rank 902, a leaf: the
-  /// slot counters are the only thing touched under it, and the condvar
-  /// wait releases it, so a blocked admitter holds nothing).
-  mutable util::lockdep::Mutex admission_mu_{
-      util::lockdep::kServerAdmissionClass};
-  std::condition_variable_any admission_cv_;
-  uint32_t inflight_ = 0;          // guarded by admission_mu_
-  uint32_t admission_queued_ = 0;  // guarded by admission_mu_
+  /// Overload control: slots, queue, shedding, brownout signal and their
+  /// counters (rank-902 leaf; docs/ROBUSTNESS.md "Overload control").
+  AdmissionController admission_;
 
   /// Pre-resolved overload-metric handles (null when GKNN_OBS=0); see the
   /// constructor.

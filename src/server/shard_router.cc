@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -41,7 +39,10 @@ ShardRouter::ShardRouter(const roadnet::Graph* graph,
                             util::ThreadPool::Inline{})
                       : std::make_unique<util::ThreadPool>(
                             options.server.query_threads,
-                            options.server.max_queued)) {}
+                            options.server.max_queued)),
+      admission_(options.server.max_inflight, options.server.max_queued,
+                 options.server.brownout,
+                 options.server.default_deadline_ms) {}
 
 ShardRouter::~ShardRouter() = default;
 
@@ -176,57 +177,6 @@ void ShardRouter::Deregister(core::ObjectId object, double time) {
   stripe.shard_of.erase(it);
 }
 
-ShardRouter::Admission ShardRouter::Admit(const util::Deadline& deadline) {
-  Admission out;
-  const uint32_t max_inflight = options_.server.max_inflight;
-  if (max_inflight == 0) {
-    util::lockdep::MutexLock lock(admission_mu_);
-    ++inflight_;
-    stats_.admitted_queries.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-  bool waited = false;
-  util::lockdep::UniqueLock lock(admission_mu_);
-  while (inflight_ >= max_inflight) {
-    if (!waited) {
-      if (admission_queued_ >= options_.server.max_queued) {
-        out.status = util::Status::ResourceExhausted(
-            "router admission queue full (" +
-            std::to_string(admission_queued_) + " waiting, " +
-            std::to_string(inflight_) + " inflight)");
-        return out;
-      }
-      ++admission_queued_;
-      waited = true;
-    }
-    if (deadline.is_infinite()) {
-      admission_cv_.wait(lock);
-    } else {
-      admission_cv_.wait_until(lock, deadline.time_point());
-      if (inflight_ >= max_inflight && deadline.Expired()) {
-        --admission_queued_;
-        out.status = util::Status::DeadlineExceeded(
-            "deadline expired waiting for a router execution slot");
-        return out;
-      }
-    }
-  }
-  if (waited) --admission_queued_;
-  ++inflight_;
-  stats_.admitted_queries.fetch_add(1, std::memory_order_relaxed);
-  out.brownout = options_.server.brownout &&
-                 (waited || inflight_ * 2 > max_inflight);
-  return out;
-}
-
-void ShardRouter::ReleaseSlot() {
-  {
-    util::lockdep::MutexLock lock(admission_mu_);
-    --inflight_;
-  }
-  admission_cv_.notify_one();
-}
-
 std::vector<uint32_t> ShardRouter::SelectShards(uint32_t home,
                                                 uint32_t k) const {
   const uint64_t target = std::max<uint64_t>(
@@ -280,45 +230,32 @@ std::vector<core::KnnResultEntry> ShardRouter::MergeTopK(
 
 util::Result<std::vector<core::KnnResultEntry>> ShardRouter::QueryKnn(
     roadnet::EdgePoint location, uint32_t k, double t_now) {
-  return QueryKnnInternal(location, k, t_now, DefaultDeadline());
+  return QueryKnnInternal(location, k, t_now, admission_.DefaultDeadline());
 }
 
 util::Result<std::vector<core::KnnResultEntry>>
 ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
                               double t_now, const util::Deadline& deadline) {
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  Admission admission = Admit(deadline);
-  if (!admission.status.ok()) {
-    if (admission.status.IsDeadlineExceeded()) {
-      stats_.expired_queries.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.shed_queries.fetch_add(1, std::memory_order_relaxed);
-    }
-    return admission.status;
-  }
-  struct SlotGuard {
-    ShardRouter* router;
-    ~SlotGuard() { router->ReleaseSlot(); }
-  } slot_guard{this};
-  const bool pressure = admission.brownout;
-  if (pressure) {
-    stats_.brownout_queries.fetch_add(1, std::memory_order_relaxed);
-  }
+  const AdmissionTicket ticket = admission_.Admit(deadline);
+  if (!ticket.ok()) return ticket.status();
+  // Every exit of the three phases passes through here, so a query that
+  // ends DeadlineExceeded — in a shard or in border refinement — is
+  // counted expired exactly once.
+  auto result = RunPhases(location, k, t_now, deadline, ticket.brownout());
+  admission_.CountFinished(result.status());
+  return result;
+}
 
-  auto finish = [&](util::Result<std::vector<core::KnnResultEntry>> result) {
-    if (!result.ok() && result.status().IsDeadlineExceeded()) {
-      stats_.expired_queries.fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
-  };
-
+util::Result<std::vector<core::KnnResultEntry>> ShardRouter::RunPhases(
+    roadnet::EdgePoint location, uint32_t k, double t_now,
+    const util::Deadline& deadline, bool pressure) {
   // An invalid location or k is forwarded to one shard unrouted so the
   // caller sees exactly the typed validation error a single-engine server
   // returns (the selection below needs a valid edge for CellOfEdge).
   if (k == 0 || location.edge >= graph_->num_edges() ||
       location.offset > graph_->edge(location.edge).weight) {
-    return finish(
-        shards_[0]->QueryKnnRouted(location, k, t_now, deadline, pressure));
+    return shards_[0]->QueryKnnRouted(location, k, t_now, deadline, pressure);
   }
 
   // Phase 1: fan out to the shards the candidate ring plausibly touches.
@@ -335,7 +272,7 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
   for (uint32_t s : selected) {
     auto result =
         shards_[s]->QueryKnnRouted(location, k, t_now, deadline, pressure);
-    if (!result.ok()) return finish(result.status());
+    if (!result.ok()) return result.status();
     per_shard.push_back(std::move(result).ValueOrDie());
     queried[s] = 1;
   }
@@ -392,7 +329,7 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
                                                deadline, pressure)
                 : shards_[s]->QueryKnnRouted(location, k, t_now, deadline,
                                              pressure);
-        if (!result.ok()) return finish(result.status());
+        if (!result.ok()) return result.status();
         per_shard.push_back(std::move(result).ValueOrDie());
         queried[s] = 1;
         selected.push_back(s);
@@ -403,48 +340,21 @@ ShardRouter::QueryKnnInternal(roadnet::EdgePoint location, uint32_t k,
   if (selected.size() == num_shards()) {
     stats_.full_fanouts.fetch_add(1, std::memory_order_relaxed);
   }
-  return finish(std::move(merged));
+  return merged;
 }
 
 util::Result<std::vector<std::vector<core::KnnResultEntry>>>
 ShardRouter::QueryKnnBatch(std::span<const roadnet::EdgePoint> locations,
                            uint32_t k, double t_now) {
-  const util::Deadline deadline = DefaultDeadline();
+  const util::Deadline deadline = admission_.DefaultDeadline();
   std::vector<std::vector<core::KnnResultEntry>> results(locations.size());
-  std::vector<util::Status> statuses(locations.size(), util::Status::OK());
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(locations.size());
-  for (size_t i = 0; i < locations.size(); ++i) {
-    util::ThreadPool::Submission submission;
-    submission.deadline = deadline;
-    submission.run = [this, &results, &statuses, location = locations[i], k,
-                      t_now, i, deadline] {
-      auto result = QueryKnnInternal(location, k, t_now, deadline);
-      if (result.ok()) {
-        results[i] = std::move(result).ValueOrDie();
-      } else {
-        statuses[i] = result.status();
-      }
-    };
-    submission.on_expired = [this, &statuses, i] {
-      stats_.expired_queries.fetch_add(1, std::memory_order_relaxed);
-      statuses[i] = util::Status::DeadlineExceeded(
-          "query budget exhausted in the router batch queue");
-    };
-    std::optional<std::future<void>> task =
-        query_pool_->TrySubmitTask(std::move(submission));
-    if (!task.has_value()) {
-      stats_.shed_queries.fetch_add(1, std::memory_order_relaxed);
-      statuses[i] = util::Status::ResourceExhausted(
-          "router batch query pool queue full");
-      continue;
-    }
-    tasks.push_back(std::move(*task));
-  }
-  for (std::future<void>& task : tasks) task.get();
-  for (util::Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
+  GKNN_RETURN_NOT_OK(FanOutBatch(
+      *query_pool_, admission_, deadline, locations.size(),
+      [&](size_t i) -> util::Status {
+        GKNN_ASSIGN_OR_RETURN(
+            results[i], QueryKnnInternal(locations[i], k, t_now, deadline));
+        return util::Status::OK();
+      }));
   return results;
 }
 
@@ -473,13 +383,11 @@ void ShardRouter::ReleaseDijkstra(
 RouterStats ShardRouter::router_stats() const {
   RouterStats out;
   out.queries = stats_.queries.load(std::memory_order_relaxed);
-  out.admitted_queries =
-      stats_.admitted_queries.load(std::memory_order_relaxed);
-  out.shed_queries = stats_.shed_queries.load(std::memory_order_relaxed);
-  out.expired_queries =
-      stats_.expired_queries.load(std::memory_order_relaxed);
-  out.brownout_queries =
-      stats_.brownout_queries.load(std::memory_order_relaxed);
+  const AdmissionController::Counts admission = admission_.counts();
+  out.admitted_queries = admission.admitted;
+  out.shed_queries = admission.shed;
+  out.expired_queries = admission.expired;
+  out.brownout_queries = admission.brownout;
   out.fanout_shards = stats_.fanout_shards.load(std::memory_order_relaxed);
   out.refine_shards = stats_.refine_shards.load(std::memory_order_relaxed);
   out.border_refinements =

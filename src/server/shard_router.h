@@ -2,7 +2,6 @@
 #define GKNN_SERVER_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,6 +14,7 @@
 #include "obs/metrics.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
+#include "server/admission.h"
 #include "server/query_server.h"
 #include "util/deadline.h"
 #include "util/lockdep.h"
@@ -202,24 +202,12 @@ class ShardRouter {
 
   struct AtomicRouterStats {
     std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> admitted_queries{0};
-    std::atomic<uint64_t> shed_queries{0};
-    std::atomic<uint64_t> expired_queries{0};
-    std::atomic<uint64_t> brownout_queries{0};
     std::atomic<uint64_t> fanout_shards{0};
     std::atomic<uint64_t> refine_shards{0};
     std::atomic<uint64_t> border_refinements{0};
     std::atomic<uint64_t> full_fanouts{0};
     std::atomic<uint64_t> routed_updates{0};
     std::atomic<uint64_t> cross_shard_moves{0};
-  };
-
-  /// Outcome of one router-level admission decision (mirror of
-  /// QueryServer::Admission; the gate reuses the server.admission leaf
-  /// class — same rank-902 discipline, one more instance).
-  struct Admission {
-    util::Status status = util::Status::OK();
-    bool brownout = false;
   };
 
   ShardRouter(const roadnet::Graph* graph,
@@ -229,22 +217,18 @@ class ShardRouter {
     return stripes_[object % kStripes];
   }
 
-  util::Deadline DefaultDeadline() const {
-    return options_.server.default_deadline_ms > 0
-               ? util::Deadline::AfterSeconds(
-                     options_.server.default_deadline_ms * 1e-3)
-               : util::Deadline();
-  }
-
-  Admission Admit(const util::Deadline& deadline);
-  void ReleaseSlot();
-
   /// The full logical-query path (admission + three phases) under an
-  /// explicit budget; QueryKnn passes DefaultDeadline() and the batch
+  /// explicit budget; QueryKnn passes the default budget and the batch
   /// fan-out passes its shared one.
   util::Result<std::vector<core::KnnResultEntry>> QueryKnnInternal(
       roadnet::EdgePoint location, uint32_t k, double t_now,
       const util::Deadline& deadline);
+
+  /// The three phases of one admitted query; `pressure` is the admission
+  /// ticket's brownout bit, forwarded to every shard it queries.
+  util::Result<std::vector<core::KnnResultEntry>> RunPhases(
+      roadnet::EdgePoint location, uint32_t k, double t_now,
+      const util::Deadline& deadline, bool pressure);
 
   /// Phase 1: the ordered shard fan-out for a query homed in `home`.
   std::vector<uint32_t> SelectShards(uint32_t home, uint32_t k) const;
@@ -276,14 +260,9 @@ class ShardRouter {
   std::unique_ptr<util::ThreadPool> query_pool_;
   AtomicRouterStats stats_;
 
-  /// Router admission gate (docs/SHARDING.md): same leaf discipline as
-  /// QueryServer's — the condvar wait releases the mutex, so a blocked
-  /// admitter holds nothing.
-  mutable util::lockdep::Mutex admission_mu_{
-      util::lockdep::kServerAdmissionClass};
-  std::condition_variable_any admission_cv_;
-  uint32_t inflight_ = 0;          // guarded by admission_mu_
-  uint32_t admission_queued_ = 0;  // guarded by admission_mu_
+  /// Router admission gate (docs/SHARDING.md): the same controller a
+  /// QueryServer uses, applied once per logical query.
+  AdmissionController admission_;
 
   /// Recycled refinement workspaces (leaf lock, same per-query-scratch
   /// discipline as engine.workspace — one more instance of that class).

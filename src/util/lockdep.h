@@ -28,7 +28,7 @@ namespace gknn::util::lockdep {
 inline constexpr bool kEnabled = (GKNN_LOCKDEP != 0);
 
 /// One lock *class* of the global ordering (docs/CONCURRENCY.md "Lock
-/// ordering", machine-checked by tools/gknn_lint.py). Every lockdep
+/// ordering", machine-checked by tools/analyzer/gknn_check). Every lockdep
 /// mutex belongs to a class; the class carries the static rank that
 /// encodes the hierarchy:
 ///
@@ -78,9 +78,9 @@ class LockClass {
 #endif
 
 /// The production lock classes. This block is the single source of truth
-/// for the lock hierarchy: tools/gknn_lint.py parses the lines between the
-/// two markers and fails the lint when the `name (rank)` pairs drift from
-/// the table in docs/CONCURRENCY.md. Ranks increase downward; 900+ are
+/// for the lock hierarchy: gknn_check's lock-order pass parses the lines
+/// between the two markers and fails when the `name (rank)` pairs drift
+/// from the table in docs/CONCURRENCY.md. Ranks increase downward; 900+ are
 /// leaves.
 // gknn-lockdep-table-begin
 inline constinit LockClass kServerIndexClass{"server.index", 100};

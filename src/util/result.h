@@ -12,7 +12,7 @@ namespace gknn::util {
 /// Result<T> holds either a value of type T or an error Status.
 ///
 /// [[nodiscard]] like Status: a Result-returning call whose value *and*
-/// error are both ignored is a compile error (and a gknn_lint.py finding).
+/// error are both ignored is a compile error (and a gknn_check finding).
 ///
 /// Usage:
 ///   Result<Graph> r = LoadGraph(path);

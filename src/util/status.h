@@ -35,7 +35,7 @@ std::string_view StatusCodeToString(StatusCode code);
 /// The class is [[nodiscard]]: every expression returning a Status by
 /// value must be consumed (checked, returned, or assigned). Dropping one
 /// on the floor is a compile error under -Werror and is additionally
-/// flagged by tools/gknn_lint.py, so device errors and bad-argument
+/// flagged by gknn_check's status-drop rule, so device errors and bad-argument
 /// reports cannot silently vanish.
 class [[nodiscard]] Status {
  public:

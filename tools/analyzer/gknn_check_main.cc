@@ -71,8 +71,7 @@ bool IsLockdepFile(const std::string& rel) {
 /// bad/good example pairs exercise every rule.
 bool TreatAsSrc(const std::string& rel) {
   if (rel.rfind("src/", 0) == 0) return true;
-  return rel.find("lint_fixtures/") != std::string::npos ||
-         rel.find("analyzer_fixtures/") != std::string::npos;
+  return rel.find("analyzer_fixtures/") != std::string::npos;
 }
 
 /// Parse compile_commands.json just enough to pull out the "file" entries.
@@ -220,7 +219,7 @@ int main(int argc, char** argv) {
         const std::string name = it->path().filename().string();
         if (it->is_directory(ec)) {
           if (name == "build" || name == ".git" ||
-              name == "lint_fixtures" || name == "analyzer_fixtures") {
+              name == "analyzer_fixtures") {
             it.disable_recursion_pending();
           }
           continue;
@@ -301,7 +300,8 @@ int main(int argc, char** argv) {
     const bool as_src = TreatAsSrc(lf.path);
     const bool gpusim = lf.path.rfind("src/gpusim/", 0) == 0;
     StyleScan(lf, /*flag_raw_mutex=*/true,
-              /*flag_device_span=*/as_src && !gpusim, &unit_findings[i]);
+              /*flag_device_span=*/as_src && !gpusim,
+              /*flag_kernel_capture=*/as_src, &unit_findings[i]);
   });
   std::vector<Finding> findings;
   for (std::vector<Finding>& uf : unit_findings) {

@@ -1671,8 +1671,27 @@ void ExtractEvents(const LexedFile& file, Program* program,
   }
 }
 
+namespace {
+
+/// True when the tokens from `j` open a parameter list whose first
+/// parameter is a kernel context: `( [const] [ns::]* ThreadCtx|WarpCtx &`.
+bool OpensKernelParams(const Tokens& t, size_t j) {
+  if (j >= t.size() || !t[j].IsPunct("(")) return false;
+  if (++j < t.size() && t[j].IsIdent("const")) ++j;
+  while (j + 1 < t.size() && t[j].kind == TokenKind::kIdent &&
+         t[j + 1].IsPunct("::")) {
+    j += 2;
+  }
+  return j + 1 < t.size() &&
+         (t[j].IsIdent("ThreadCtx") || t[j].IsIdent("WarpCtx")) &&
+         (t[j + 1].IsPunct("&") || t[j + 1].IsPunct("&&"));
+}
+
+}  // namespace
+
 void StyleScan(const LexedFile& file, bool flag_raw_mutex,
-               bool flag_device_span, std::vector<Finding>* findings) {
+               bool flag_device_span, bool flag_kernel_capture,
+               std::vector<Finding>* findings) {
   static const std::set<std::string> kRawMutexNames = {
       "mutex",         "shared_mutex", "recursive_mutex",
       "timed_mutex",   "lock_guard",   "unique_lock",
@@ -1703,6 +1722,19 @@ void StyleScan(const LexedFile& file, bool flag_raw_mutex,
       fd.message =
           "raw device_span() access outside src/gpusim/; prefer the checked "
           "Load/Store accessors or justify with a suppression";
+      fd.level = "error";
+      findings->push_back(fd);
+    }
+    if (flag_kernel_capture && t[i].IsPunct("[") &&
+        (t[i + 1].IsPunct("&") || t[i + 1].IsPunct("=")) &&
+        t[i + 2].IsPunct("]") && OpensKernelParams(t, i + 3)) {
+      Finding fd;
+      fd.rule = "kernel-capture";
+      fd.file = file.path;
+      fd.line = t[i].line;
+      fd.message =
+          "kernel lambda with default capture; enumerate the captures "
+          "explicitly";
       fd.level = "error";
       findings->push_back(fd);
     }

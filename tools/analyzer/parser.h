@@ -24,14 +24,21 @@ void ScanStructure(const LexedFile& file, Program* program);
 void ExtractEvents(const LexedFile& file, Program* program,
                    std::vector<Finding>* findings);
 
-/// Token-level style rules migrated from tools/gknn_lint.py:
-///   raw-mutex   — `std::mutex` & friends instead of the lockdep wrappers
-///                 (applies to every analyzed file; lockdep.* is never
-///                 handed to the analyzer in the first place).
-///   device-span — `.device_span()` outside src/gpusim/ (`flag_device_span`
-///                 is false for gpusim files and files outside src/).
+/// Token-level style rules:
+///   raw-mutex      — `std::mutex` & friends instead of the lockdep
+///                    wrappers (applies to every analyzed file; lockdep.*
+///                    is never handed to the analyzer in the first place).
+///   device-span    — `.device_span()` outside src/gpusim/
+///                    (`flag_device_span` is false for gpusim files and
+///                    files outside src/).
+///   kernel-capture — a default-capture lambda (`[&]` / `[=]`) taking a
+///                    ThreadCtx& / WarpCtx&: kernel lambdas enumerate their
+///                    captures, since a by-reference capture of a host
+///                    temporary is the dangling pointer a real CUDA launch
+///                    turns into UB (`flag_kernel_capture`: src/ files).
 void StyleScan(const LexedFile& file, bool flag_raw_mutex,
-               bool flag_device_span, std::vector<Finding>* findings);
+               bool flag_device_span, bool flag_kernel_capture,
+               std::vector<Finding>* findings);
 
 }  // namespace gknn::check
 

@@ -42,8 +42,7 @@ bool InScopeFile(const std::string& file) {
   if (file.rfind("src/core/", 0) == 0) return true;
   if (file.rfind("src/server/", 0) == 0) return true;
   if (file.rfind("src/roadnet/", 0) == 0) return true;
-  return file.find("analyzer_fixtures/") != std::string::npos ||
-         file.find("lint_fixtures/") != std::string::npos;
+  return file.find("analyzer_fixtures/") != std::string::npos;
 }
 
 bool IsDeviceCategory(int cat) {

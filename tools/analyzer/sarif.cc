@@ -64,6 +64,9 @@ constexpr RuleMeta kRules[] = {
     {"raw-mutex",
      "Use the util::lockdep wrappers instead of raw std synchronization "
      "primitives so lock ordering is validated at runtime."},
+    {"kernel-capture",
+     "Kernel lambdas (taking ThreadCtx& / WarpCtx&) must enumerate their "
+     "captures instead of defaulting to [&] or [=]."},
     {"atomic-publication",
      "Atomic fields stored under a lock and read outside it must use "
      "release stores and acquire loads, or a correctly-ordered seqlock "
